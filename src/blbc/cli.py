@@ -30,24 +30,8 @@ from .fileformat import (
 )
 from .rational import format_rational
 from .svgrender import EDGE_MODES, render_svg
-from .verifier import (
-    verify_exclusion_bound,
-    verify_no_k_collinear,
-    verify_trace_selections,
-    verify_triangle_pending,
-    verify_unique_triple_at_insertion,
-    verify_visible_pair_lemma,
-)
-from .visibility import LineIncidenceMap, PointSet, check_blbc_instance
-
-POINT_CHECKS = ("no4collinear", "visiblepairlemma", "trianglepending")
-TRACE_CHECKS = ("uniquetriple", "exclusionbound", "ordinaryoracle")
-# ordinaryoracle re-derives every selection exhaustively (cubic per step),
-# so it runs only when asked for, never by default.
-DEFAULT_CHECKS = ("no4collinear", "uniquetriple", "visiblepairlemma",
-                  "trianglepending", "exclusionbound")
-CHECK_ORDER = ("no4collinear", "uniquetriple", "visiblepairlemma",
-               "trianglepending", "exclusionbound", "ordinaryoracle")
+from .verifier import CHECKS, verify_points
+from .visibility import PointSet, check_blbc_instance
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trace", help="matching trace file (enables trace checks)")
     ver.add_argument(
         "--checks",
-        help="comma-separated subset of: " + ", ".join(CHECK_ORDER)
+        help="comma-separated subset of: " + ", ".join(CHECKS)
         + " (default: all applicable except ordinaryoracle)",
     )
     ver.set_defaults(func=_cmd_verify)
@@ -121,45 +105,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_checks(arg: str | None, have_trace: bool) -> list[str]:
-    if arg is None:
-        names = set(DEFAULT_CHECKS) if have_trace else set(POINT_CHECKS)
-    else:
-        names = set()
-        for raw in arg.split(","):
-            name = raw.strip()
-            if name not in CHECK_ORDER:
-                raise InputError(
-                    f"unknown check {name!r}; known: {', '.join(CHECK_ORDER)}"
-                )
-            names.add(name)
-        missing_trace = names.intersection(TRACE_CHECKS) if not have_trace else set()
-        if missing_trace:
-            raise InputError(
-                f"check(s) {', '.join(sorted(missing_trace))} need --trace"
-            )
-    return [c for c in CHECK_ORDER if c in names]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     ps = PointSet(parse_point_file(_read(args.points)).points)
     records = parse_trace_file(_read(args.trace)) if args.trace else None
-    checks = _parse_checks(args.checks, records is not None)
-    reports = []
-    for check in checks:
-        if check == "no4collinear":
-            reports.append(verify_no_k_collinear(ps, 4))
-        elif check == "uniquetriple":
-            reports.append(verify_unique_triple_at_insertion(records, ps))
-        elif check == "visiblepairlemma":
-            reports.append(verify_visible_pair_lemma(ps))
-        elif check == "trianglepending":
-            pending = LineIncidenceMap.from_point_set(ps).two_point_pairs()
-            reports.append(verify_triangle_pending(ps, pending))
-        elif check == "exclusionbound":
-            reports.append(verify_exclusion_bound(records))
-        else:
-            reports.append(verify_trace_selections(ps, records))
+    checks = None if args.checks is None else [c.strip() for c in args.checks.split(",")]
+    reports = verify_points(ps, records, checks)
     sys.stdout.write(serialize_reports(reports))
     return 0 if all(r.passed for r in reports) else 1
 

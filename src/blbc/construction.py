@@ -32,12 +32,11 @@ from .geometry import (
     Orientation,
     Point,
     _homogeneous,
-    _line_eval_hom,
     _line_from_hom,
     orientation,
     segment_param_point,
 )
-from .visibility import LineIncidenceMap, PointSet, _coerce_point
+from .visibility import LineIncidenceMap, PointSet, _coerce_point, _crossing_parameters
 
 
 class OrdinaryPair(NamedTuple):
@@ -135,10 +134,9 @@ def init_state(seed: Sequence[Sequence] = DEFAULT_SEED) -> ConstructionState:
         raise SeedError(f"seed points are collinear: {pts[0]}, {pts[1]}, {pts[2]}")
     hom = [_homogeneous(p) for p in pts]
     lines = LineIncidenceMap()
-    pending: set[OrdinaryPair] = set()
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        lines._entries[_line_from_hom(hom[a], hom[b])] = [a + 1, b + 1]
-        pending.add(OrdinaryPair(a + 1, b + 1))
+    for n in (2, 3):
+        lines.add_point(hom, n)
+    pending = {OrdinaryPair(1, 2), OrdinaryPair(1, 3), OrdinaryPair(2, 3)}
     return ConstructionState(pts, lines, pending, [], hom)
 
 
@@ -150,7 +148,7 @@ def state_from_points(points: Iterable[Sequence]) -> ConstructionState:
         raise InputError(f"a construction state needs >= 3 points, got {ps.n}")
     lines = LineIncidenceMap.from_point_set(ps)
     pending: set[OrdinaryPair] = set()
-    for line, lst in lines._entries.items():
+    for line, lst in lines.items():
         if len(lst) > 3:
             raise InputError(
                 f"{len(lst)} collinear points (indices {lst}) on line "
@@ -172,7 +170,7 @@ def select_ordinary_pair(state: ConstructionState) -> OrdinaryPair:
         j, i = heap[0]
         pair = OrdinaryPair(i, j)
         if pair in state.pending:
-            entry = state.lines._entries.get(
+            entry = state.lines.get(
                 _line_from_hom(state._hom[i - 1], state._hom[j - 1])
             )
             if entry is None or len(entry) != 2:
@@ -200,44 +198,10 @@ def excluded_parameters(state: ConstructionState, pair: Sequence[int]) -> set[Fr
     """Parameters t in (0, 1) ruled out for inserting on ``pair``: values
     where the new point would land on a line spanned by other points.
 
-    Only lines disjoint from the pair can cross the open segment; a line
-    through an endpoint meets the segment's line at that endpoint alone.
-    Both facts are asserted against the incidence map, not assumed.
+    Same kernel as `blocking_parameters`, run on the state's own map.
     """
-    pair = _as_pending_pair(state, pair)
-    i, j = pair
-    a_h = state._hom[i - 1]
-    b_h = state._hom[j - 1]
-    base = _line_from_hom(a_h, b_h)
-    wa = a_h[2]
-    wb = b_h[2]
-    out: set[Fraction] = set()
-    for line, members in state.lines._entries.items():
-        if line == base:
-            continue
-        fa = _line_eval_hom(line, a_h)
-        if fa == 0:
-            if i not in members:
-                raise ImpossibleStateError(
-                    f"point {i} lies on line {tuple(line)} which does not list it"
-                )
-            continue  # crosses the segment's line at endpoint i only
-        fb = _line_eval_hom(line, b_h)
-        if fb == 0:
-            if j not in members:
-                raise ImpossibleStateError(
-                    f"point {j} lies on line {tuple(line)} which does not list it"
-                )
-            continue
-        if i in members or j in members:
-            raise ImpossibleStateError(
-                f"line {tuple(line)} lists an endpoint of {tuple(pair)} "
-                "but passes through neither"
-            )
-        if (fa > 0) != (fb > 0):
-            # strict interior crossing of a disjoint line
-            out.add(Fraction(fa * wb, fa * wb - fb * wa))
-    return out
+    i, j = _as_pending_pair(state, pair)
+    return _crossing_parameters(state.lines, state._hom, i, j)
 
 
 def farey_order() -> Iterator[Fraction]:
@@ -287,12 +251,10 @@ def insert_point(
 
     new_point = segment_param_point(state.point(i), state.point(j), t)
     n = len(state.points) + 1
-    new_hom = _homogeneous(new_point)
-    entries = state.lines._entries
 
     base = _line_from_hom(state._hom[i - 1], state._hom[j - 1])
-    base_entry = entries.get(base)
-    if base_entry is None or base_entry != [i, j]:
+    base_entry = state.lines.get(base)
+    if base_entry != (i, j):
         raise ImpossibleStateError(
             f"pending pair {tuple(pair)} expected a two-point line, found {base_entry}"
         )
@@ -305,19 +267,17 @@ def insert_point(
         )
 
     state.points.append(new_point)
-    state._hom.append(new_hom)
-    base_entry.append(n)
+    state._hom.append(_homogeneous(new_point))
+    joined = state.lines.add_point(state._hom, n)
+    if joined != [base]:
+        raise ImpossibleStateError(
+            f"new point {n} joined lines {[tuple(line) for line in joined]}, "
+            f"not just {tuple(base)}; parameter {t} should have been excluded"
+        )
     state.pending.discard(pair)
     for m in range(1, n):
         if m == i or m == j:
             continue
-        line = _line_from_hom(state._hom[m - 1], new_hom)
-        if line in entries:
-            raise ImpossibleStateError(
-                f"new point {n} lies on existing line {tuple(line)}; "
-                f"parameter {t} should have been excluded"
-            )
-        entries[line] = [m, n]
         new_pair = OrdinaryPair(m, n)
         state.pending.add(new_pair)
         heapq.heappush(state._heap, new_pair.key)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .errors import DegenerateSegmentError, InputError, ParameterRangeError
+from .errors import DegenerateSegmentError, ParameterRangeError
 from .rational import format_rational
 
 
@@ -35,13 +35,6 @@ class Orientation(enum.IntEnum):
     COUNTERCLOCKWISE = 1
 
 
-class NoIntersection(enum.Enum):
-    """Why two lines have no single intersection point."""
-
-    PARALLEL = "parallel"
-    IDENTICAL = "identical"
-
-
 class CanonicalLine(NamedTuple):
     """Line ``a*x + b*y = c`` in the canonical integer form.
 
@@ -53,31 +46,9 @@ class CanonicalLine(NamedTuple):
     b: int
     c: int
 
-    @classmethod
-    def from_coeffs(cls, a: Fraction | int, b: Fraction | int, c: Fraction | int) -> CanonicalLine:
-        """Canonicalise arbitrary rational coefficients of a real line."""
-        fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
-        if fa == 0 and fb == 0:
-            raise InputError("line coefficients a and b must not both be zero")
-        scale = fa.denominator * fb.denominator * fc.denominator
-        ia = int(fa * scale)
-        ib = int(fb * scale)
-        ic = int(fc * scale)
-        return cls(*_normalize_line(ia, ib, ic))
-
     def contains(self, p: Point) -> bool:
         """Exact incidence test."""
         return self.a * p.x + self.b * p.y == self.c
-
-
-def _normalize_line(a: int, b: int, c: int) -> tuple[int, int, int]:
-    g = gcd(gcd(abs(a), abs(b)), abs(c))
-    a //= g
-    b //= g
-    c //= g
-    if a < 0 or (a == 0 and b < 0):
-        a, b, c = -a, -b, -c
-    return a, b, c
 
 
 def _homogeneous(p: Point) -> tuple[int, int, int]:
@@ -110,7 +81,10 @@ def _line_from_hom(ha: tuple[int, int, int], hb: tuple[int, int, int]) -> Canoni
     a = ya * wb - yb * wa
     b = wa * xb - wb * xa
     c = ya * xb - xa * yb
-    return CanonicalLine(*_normalize_line(a, b, c))
+    g = gcd(a, b, c)
+    if a < 0 or (a == 0 and b < 0):
+        g = -g
+    return CanonicalLine(a // g, b // g, c // g)
 
 
 def _line_eval_hom(line: CanonicalLine, h: tuple[int, int, int]) -> int:
@@ -143,16 +117,6 @@ def line_through(a: Point, b: Point) -> CanonicalLine:
     if a == b:
         raise DegenerateSegmentError(f"no unique line through {Point(*a)} twice")
     return _line_from_hom(_homogeneous(a), _homogeneous(b))
-
-
-def intersect(l1: CanonicalLine, l2: CanonicalLine) -> Point | NoIntersection:
-    """Intersection point of two lines, or the reason there is none."""
-    det = l1.a * l2.b - l2.a * l1.b
-    if det == 0:
-        return NoIntersection.IDENTICAL if l1 == l2 else NoIntersection.PARALLEL
-    x = Fraction(l1.c * l2.b - l2.c * l1.b, det)
-    y = Fraction(l1.a * l2.c - l2.a * l1.c, det)
-    return Point(x, y)
 
 
 def segment_param_point(a: Point, b: Point, t: Fraction) -> Point:

@@ -48,7 +48,7 @@ def _segments(ps: PointSet, edges: str) -> list[tuple[Fraction, Fraction, Fracti
         return segs
     # collinear: one segment per line carrying >= 3 points, across its extremes
     lmap = LineIncidenceMap.from_point_set(ps)
-    for line, lst in sorted(lmap.multi_entries()):
+    for line, lst in sorted((line, lst) for line, lst in lmap.items() if len(lst) >= 3):
         ordered = _sorted_along_line(lst, ps.points, line)
         a, b = ps.point(ordered[0]), ps.point(ordered[-1])
         segs.append((a.x, a.y, b.x, b.y))

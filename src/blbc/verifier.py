@@ -16,37 +16,29 @@ with a machine-readable counterexample on failure:
 - ``ordinaryoracle``: a selector's pick equals the exhaustive minimum
   (smallest j, then i) over pairs with no collinear third point.
 
-`verify_construction_run` applies the first five checks to every prefix
-of a run while growing one shared incidence structure, so sweeping all
-prefixes costs little more than verifying the final set once.  Its
-reports are identical to calling the per-prefix functions directly.
+`CHECKS` names them all and says which need a trace and which run by
+default.  One engine computes every report: it is fed points one at a
+time, and each insertion record after its point, and grows its own
+`LineIncidenceMap` from the raw coordinates.  `verify_construction_run`
+reports after every point of a run, so sweeping all prefixes costs
+little more than verifying the final set once; the per-set functions and
+`verify_points` feed a whole set and report once.  Sweep and one-shot
+reports are therefore identical by construction.  The independent
+references are brute force: `is_visible` and `build_visibility_graph_naive`
+decide visibility pair by pair, without an incidence map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb, gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .construction import ConstructionState, InsertionRecord, OrdinaryPair
-from .errors import ConsistencyError, ImpossibleStateError, InputError
-from .geometry import (
-    CanonicalLine,
-    Point,
-    _homogeneous,
-    _line_from_hom,
-    _orient_hom,
-    on_open_segment,
-)
+from .errors import ConsistencyError, InputError
+from .geometry import CanonicalLine, Point, _homogeneous, _orient_hom, on_open_segment
 from .visibility import LineIncidenceMap, PointSet, _sorted_along_line
-
-CHECK_ORDER = (
-    "no4collinear",
-    "uniquetriple",
-    "visiblepairlemma",
-    "trianglepending",
-    "exclusionbound",
-)
 
 
 @dataclass(frozen=True)
@@ -67,11 +59,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# shared single-structure helpers (used by both pure checks and the sweep)
-
-
-def _line_json(line: CanonicalLine) -> dict:
-    return {"a": line.a, "b": line.b, "c": line.c}
+# per-line and per-record judgements
 
 
 def _lemma_line_failures(
@@ -87,33 +75,16 @@ def _lemma_line_failures(
     failures: list[dict] = []
     for u, v in zip(ordered, ordered[1:]):
         i, k = (u, v) if u < v else (v, u)
-        if len(members) > 3:
-            failures.append(
-                {
-                    "pair": [i, k],
-                    "line_points": sorted(members),
-                    "reason": "four_collinear",
-                }
-            )
-            continue
         third = next(m for m in members if m != u and m != v)
-        if not third < k:
-            failures.append(
-                {
-                    "pair": [i, k],
-                    "line_points": sorted(members),
-                    "reason": "third_not_earlier",
-                }
-            )
+        if len(members) > 3:
+            reason = "four_collinear"
+        elif not third < k:
+            reason = "third_not_earlier"
+        elif not on_open_segment(points[k - 1], points[i - 1], points[third - 1]):
+            reason = "not_between"
+        else:
             continue
-        if not on_open_segment(points[k - 1], points[i - 1], points[third - 1]):
-            failures.append(
-                {
-                    "pair": [i, k],
-                    "line_points": sorted(members),
-                    "reason": "not_between",
-                }
-            )
+        failures.append({"pair": [i, k], "line_points": sorted(members), "reason": reason})
     return failures
 
 
@@ -183,6 +154,30 @@ def _record_failure(
     }
 
 
+def _bound_failure(
+    rec: InsertionRecord,
+    hom: Sequence[tuple[int, int, int]],
+    points: Sequence[Point],
+) -> dict | None:
+    """Counterexample when the record's excluded count is outside
+    0..C(n-3, 2), else None."""
+    bound = comb(rec.n - 3, 2)
+    if 0 <= rec.excluded_count <= bound:
+        return None
+    return {"n": rec.n, "excluded_count": rec.excluded_count, "bound": bound}
+
+
+def _selection_failure(
+    rec: InsertionRecord,
+    hom: Sequence[tuple[int, int, int]],
+    points: Sequence[Point],
+) -> dict | None:
+    """Counterexample when the record's pair is not the exhaustive pick
+    over the points placed before it, else None."""
+    step = verify_ordinary_oracle(PointSet(points[: rec.n - 1]), rec.pair)
+    return None if step.passed else {**step.counterexample, "n": rec.n}
+
+
 def _check_trace_against_points(ps: PointSet, trace: Sequence[InsertionRecord]) -> None:
     """Raise ConsistencyError unless trace and ps describe one run."""
     if ps.n != len(trace) + 3:
@@ -190,22 +185,22 @@ def _check_trace_against_points(ps: PointSet, trace: Sequence[InsertionRecord]) 
             f"{ps.n} points do not match {len(trace)} insertion records "
             f"(expected {ps.n - 3 if ps.n >= 3 else 0})"
         )
-    for idx, rec in enumerate(trace):
-        expected_n = idx + 4
-        if rec.n != expected_n:
-            raise ConsistencyError(
-                f"record {idx} inserts point {rec.n}, expected {expected_n}"
-            )
-        i, j = rec.pair
-        if not (1 <= i < j < rec.n):
-            raise ConsistencyError(
-                f"record for point {rec.n} names invalid pair ({i}, {j})"
-            )
-        if rec.point != ps.point(rec.n):
-            raise ConsistencyError(
-                f"record for point {rec.n} carries {rec.point}, "
-                f"but the set has {ps.point(rec.n)}"
-            )
+    for n, rec in enumerate(trace, start=4):
+        _check_record(rec, n, ps.point(n))
+
+
+def _check_record(rec: InsertionRecord, n: int, point: Point) -> None:
+    """Raise ConsistencyError unless rec places ``point`` as point n on a
+    pair of earlier points."""
+    if rec.n != n:
+        raise ConsistencyError(f"record {n - 4} inserts point {rec.n}, expected {n}")
+    i, j = rec.pair
+    if not (1 <= i < j < rec.n):
+        raise ConsistencyError(f"record for point {rec.n} names invalid pair ({i}, {j})")
+    if rec.point != point:
+        raise ConsistencyError(
+            f"record for point {rec.n} carries {rec.point}, but the set has {point}"
+        )
 
 
 def _normalize_pending(pending: Iterable[Sequence[int]], n: int) -> set[tuple[int, int]]:
@@ -222,35 +217,236 @@ def _normalize_pending(pending: Iterable[Sequence[int]], n: int) -> set[tuple[in
 
 
 # ---------------------------------------------------------------------------
-# pure per-call checks
+# the check engine
+
+
+class _Engine:
+    """Fed points one at a time, and each insertion record after its point.
+
+    The incidence map is grown from the raw coordinates, never from the
+    construction's bookkeeping, and lazily: a point check first brings the
+    map up to the points fed and refreshes the per-line state (order along
+    the line, lemma failures) of the lines touched since the last report.
+    Records are judged on arrival by the selected trace checks.
+    ``pending=None`` stands for the pending set of a valid run: exactly
+    the pairs whose line carries no third point.
+    """
+
+    def __init__(
+        self,
+        checks: Sequence[str],
+        k: int = 4,
+        pending: set[tuple[int, int]] | None = None,
+    ) -> None:
+        self.checks = checks
+        self.k = k
+        self.pending = pending
+        self.points: list[Point] = []
+        self.hom: list[tuple[int, int, int]] = []
+        self.records = 0
+        self.failures: dict[str, dict] = {}  # first failure per trace check
+        self.lines = LineIncidenceMap()
+        self._mapped = 0  # points recorded in self.lines so far
+        self._two_point: set[tuple[int, int]] | None = None  # kept once asked for
+        # lines carrying >= 3 points: indices in order along the line, and
+        # the line's lemma failures
+        self._multi: dict[CanonicalLine, tuple[list[int], list[dict]]] = {}
+
+    def add_point(self, p: Point) -> None:
+        self.points.append(p)
+        self.hom.append(_homogeneous(p))
+
+    def add_record(self, rec: InsertionRecord) -> None:
+        self.records += 1
+        for name in self.checks:
+            judge = CHECKS[name].judge
+            if judge is not None and name not in self.failures:
+                failure = judge(rec, self.hom, self.points)
+                if failure is not None:
+                    self.failures[name] = failure
+
+    def two_point_pairs(self) -> set[tuple[int, int]]:
+        """Index pairs whose spanning line carries no third point."""
+        self._grow()
+        if self._two_point is None:
+            self._two_point = self.lines.two_point_pairs()
+        return self._two_point
+
+    def report(self, name: str) -> VerificationReport:
+        return CHECKS[name].report(self)
+
+    def _grow(self) -> None:
+        touched: set[CanonicalLine] = set()
+        while self._mapped < len(self.hom):
+            self._mapped += 1
+            n = self._mapped
+            joined = self.lines.add_point(self.hom, n)
+            touched.update(joined)
+            if self._two_point is None:
+                continue
+            on_joined: set[int] = set()
+            for line in joined:
+                members = self.lines.get(line)
+                on_joined.update(members)
+                if len(members) == 3:
+                    self._two_point.discard(members[:2])
+            self._two_point.update((m, n) for m in range(1, n) if m not in on_joined)
+        for line in touched:
+            order = _sorted_along_line(self.lines.get(line), self.points, line)
+            self._multi[line] = (order, _lemma_line_failures(line, order, self.points))
+
+    def _no_k_collinear(self) -> VerificationReport:
+        self._grow()
+        n = len(self.points)
+        big = [(sorted(o), line) for line, (o, _) in self._multi.items() if len(o) >= self.k]
+        worst = min(big, default=None)
+        max_size = max((len(o) for o, _ in self._multi.values()), default=min(n, 2))
+        return VerificationReport(
+            f"no{self.k}collinear",
+            worst is None,
+            None if worst is None else {"indices": worst[0], "line": worst[1]._asdict()},
+            {"points": n, "lines": len(self.lines), "max_collinear": max_size},
+        )
+
+    def _visible_pair_lemma(self) -> VerificationReport:
+        self._grow()
+        qualifying = sum(len(order) - 1 for order, _ in self._multi.values())
+        failures = [f for _, fails in self._multi.values() for f in fails]
+        return VerificationReport(
+            "visiblepairlemma",
+            not failures,
+            min(failures, key=lambda f: f["pair"], default=None),
+            {"points": len(self.points), "qualifying_pairs": qualifying},
+        )
+
+    def _triangle_pending(self) -> VerificationReport:
+        # visible edges: each two-point pair, and consecutive pairs along
+        # the longer lines; a two-point pair is pending in a valid run
+        two_point = self.two_point_pairs()  # grows the map first
+        multi = [
+            (u, v) if u < v else (v, u)
+            for order, _ in self._multi.values()
+            for u, v in zip(order, order[1:])
+        ]
+        if self.pending is None:
+            candidates = multi
+        else:
+            candidates = [e for e in chain(two_point, multi) if e not in self.pending]
+        violations = _h_triangle_violations(candidates)
+        return VerificationReport(
+            "trianglepending",
+            not violations,
+            {"triangle": list(violations[0])} if violations else None,
+            {
+                "points": len(self.points),
+                "visible_edges": len(two_point) + len(multi),
+                "candidate_edges": len(candidates),
+                "violations": len(violations),
+            },
+        )
+
+    def _trace_report(self, name: str, stats: dict) -> VerificationReport:
+        failure = self.failures.get(name)
+        return VerificationReport(name, failure is None, failure, stats)
+
+    def _unique_triple(self) -> VerificationReport:
+        stats = {"records": self.records, "points": len(self.points)}
+        return self._trace_report("uniquetriple", stats)
+
+    def _exclusion_bound(self) -> VerificationReport:
+        return self._trace_report("exclusionbound", {"records": self.records})
+
+    def _ordinary_oracle(self) -> VerificationReport:
+        stats = {"steps": self.records, "points": len(self.points)}
+        return self._trace_report("ordinaryoracle", stats)
+
+
+class _Check(NamedTuple):
+    """How the engine reports a check, how it judges one insertion record
+    (set exactly for the checks that need a trace), and whether the check
+    runs by default."""
+
+    report: Callable[[_Engine], VerificationReport]
+    judge: Callable[..., dict | None] | None
+    default: bool
+
+    @property
+    def needs_trace(self) -> bool:
+        return self.judge is not None
+
+
+# Every check, in report order.  ordinaryoracle re-derives every selection
+# exhaustively (cubic per step), so it runs only when asked for.
+CHECKS: dict[str, _Check] = {
+    "no4collinear": _Check(_Engine._no_k_collinear, None, default=True),
+    "uniquetriple": _Check(_Engine._unique_triple, _record_failure, default=True),
+    "visiblepairlemma": _Check(_Engine._visible_pair_lemma, None, default=True),
+    "trianglepending": _Check(_Engine._triangle_pending, None, default=True),
+    "exclusionbound": _Check(_Engine._exclusion_bound, _bound_failure, default=True),
+    "ordinaryoracle": _Check(_Engine._ordinary_oracle, _selection_failure, default=False),
+}
+CHECK_ORDER = tuple(name for name, check in CHECKS.items() if check.default)
+
+
+def _known(checks: Iterable[str]) -> list[str]:
+    names = list(checks)
+    for name in names:
+        if name not in CHECKS:
+            raise InputError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
+    return names
+
+
+def _run(
+    checks: Sequence[str],
+    points: Iterable[Point] = (),
+    trace: Iterable[InsertionRecord] = (),
+    k: int = 4,
+    pending: set[tuple[int, int]] | None = None,
+) -> list[VerificationReport]:
+    """Feed a whole set, then its records, to one engine; one report per
+    check."""
+    engine = _Engine(checks, k, pending)
+    for p in points:
+        engine.add_point(p)
+    for rec in trace:
+        engine.add_record(rec)
+    return [engine.report(name) for name in checks]
+
+
+# ---------------------------------------------------------------------------
+# checks on one point set
+
+
+def verify_points(
+    ps: PointSet,
+    trace: Sequence[InsertionRecord] | None = None,
+    checks: Iterable[str] | None = None,
+) -> list[VerificationReport]:
+    """Run the named checks, in `CHECKS` order, on one point set and its
+    optional trace.
+
+    By default every default check the inputs allow runs.  A given trace
+    must describe the run that built ps, whichever checks are named;
+    otherwise ConsistencyError.
+    """
+    if checks is None:
+        checks = [name for name, check in CHECKS.items()
+                  if check.default and (trace is not None or not check.needs_trace)]
+    names = set(_known(checks))
+    if trace is None:
+        missing = sorted(name for name in names if CHECKS[name].needs_trace)
+        if missing:
+            raise InputError(f"check(s) {', '.join(missing)} need --trace")
+    else:
+        _check_trace_against_points(ps, trace)
+    return _run([name for name in CHECKS if name in names], ps.points, trace or ())
 
 
 def verify_no_k_collinear(ps: PointSet, k: int = 4) -> VerificationReport:
     """No k points of ps on one line; vacuously true below k points."""
     if k < 3:
         raise InputError(f"collinearity threshold must be >= 3, got {k}")
-    name = f"no{k}collinear"
-    if ps.n < 2:
-        return VerificationReport(
-            name, True, None, {"points": ps.n, "lines": 0, "max_collinear": ps.n}
-        )
-    lmap = LineIncidenceMap.from_point_set(ps)
-    counterexample = None
-    max_size = 2
-    worst: tuple[list[int], CanonicalLine] | None = None
-    for line, lst in lmap._entries.items():
-        if len(lst) > max_size:
-            max_size = len(lst)
-        if len(lst) >= k and (worst is None or lst < worst[0]):
-            worst = (lst, line)
-    if worst is not None:
-        counterexample = {"indices": list(worst[0]), "line": _line_json(worst[1])}
-    return VerificationReport(
-        name,
-        worst is None,
-        counterexample,
-        {"points": ps.n, "lines": len(lmap), "max_collinear": max_size},
-    )
+    return _run(["no4collinear"], ps.points, k=k)[0]
 
 
 def verify_unique_triple_at_insertion(
@@ -259,40 +455,14 @@ def verify_unique_triple_at_insertion(
     """Each inserted point is collinear with exactly its recorded pair and
     lies strictly between the two."""
     _check_trace_against_points(ps, trace)
-    hom = ps.homogeneous()
-    counterexample = None
-    for rec in trace:
-        failure = _record_failure(rec, hom, ps.points)
-        if failure is not None:
-            counterexample = failure
-            break
-    return VerificationReport(
-        "uniquetriple",
-        counterexample is None,
-        counterexample,
-        {"records": len(trace), "points": ps.n},
-    )
+    return _run(["uniquetriple"], ps.points, trace)[0]
 
 
 def verify_visible_pair_lemma(ps: PointSet) -> VerificationReport:
     """Visible pairs on lines with a third point satisfy the blocker shape:
     one extra point, of smaller index than the pair's larger index k, with
     point k strictly between the pair's other point and that extra point."""
-    lmap = LineIncidenceMap.from_point_set(ps) if ps.n >= 2 else LineIncidenceMap()
-    qualifying = 0
-    failures: list[dict] = []
-    for line, lst in lmap._entries.items():
-        if len(lst) < 3:
-            continue
-        qualifying += len(lst) - 1
-        failures.extend(_lemma_line_failures(line, lst, ps.points))
-    counterexample = min(failures, key=lambda f: f["pair"]) if failures else None
-    return VerificationReport(
-        "visiblepairlemma",
-        not failures,
-        counterexample,
-        {"points": ps.n, "qualifying_pairs": qualifying},
-    )
+    return _run(["visiblepairlemma"], ps.points)[0]
 
 
 def verify_triangle_pending(
@@ -302,50 +472,12 @@ def verify_triangle_pending(
     ``pending``; equivalently, the subgraph of visible non-pending edges
     is triangle-free."""
     pending_set = _normalize_pending(pending, ps.n)
-    edges: list[tuple[int, int]] = []
-    if ps.n >= 2:
-        lmap = LineIncidenceMap.from_point_set(ps)
-        for line, lst in lmap._entries.items():
-            if len(lst) == 2:
-                edges.append((lst[0], lst[1]))
-            else:
-                ordered = _sorted_along_line(lst, ps.points, line)
-                for u, v in zip(ordered, ordered[1:]):
-                    edges.append((u, v) if u < v else (v, u))
-    h_edges = [e for e in edges if e not in pending_set]
-    violations = _h_triangle_violations(h_edges)
-    counterexample = {"triangle": list(violations[0])} if violations else None
-    return VerificationReport(
-        "trianglepending",
-        not violations,
-        counterexample,
-        {
-            "points": ps.n,
-            "visible_edges": len(edges),
-            "candidate_edges": len(h_edges),
-            "violations": len(violations),
-        },
-    )
+    return _run(["trianglepending"], ps.points, pending=pending_set)[0]
 
 
 def verify_exclusion_bound(trace: Sequence[InsertionRecord]) -> VerificationReport:
     """Each record's excluded_count lies within 0..C(n-3, 2)."""
-    counterexample = None
-    for rec in trace:
-        bound = comb(rec.n - 3, 2)
-        if not 0 <= rec.excluded_count <= bound:
-            counterexample = {
-                "n": rec.n,
-                "excluded_count": rec.excluded_count,
-                "bound": bound,
-            }
-            break
-    return VerificationReport(
-        "exclusionbound",
-        counterexample is None,
-        counterexample,
-        {"records": len(trace)},
-    )
+    return _run(["exclusionbound"], trace=trace)[0]
 
 
 def _ordinary_pairs_exhaustive(ps: PointSet) -> list[OrdinaryPair]:
@@ -406,71 +538,11 @@ def verify_trace_selections(
     """Every recorded pair equals the exhaustive ordinary-pair minimum for
     its prefix.  One aggregated report over the whole trace."""
     _check_trace_against_points(ps, trace)
-    counterexample = None
-    for rec in trace:
-        prefix = PointSet(ps.points[: rec.n - 1])
-        step = verify_ordinary_oracle(prefix, rec.pair)
-        if not step.passed:
-            counterexample = dict(step.counterexample or {})
-            counterexample["n"] = rec.n
-            break
-    return VerificationReport(
-        "ordinaryoracle",
-        counterexample is None,
-        counterexample,
-        {"steps": len(trace), "points": ps.n},
-    )
+    return _run(["ordinaryoracle"], ps.points, trace)[0]
 
 
 # ---------------------------------------------------------------------------
-# incremental sweep over every prefix of a construction run
-
-
-class _SweepMap:
-    """Verifier-side incidence structure grown point by point from raw
-    coordinates; the construction's own bookkeeping is never consulted."""
-
-    def __init__(self) -> None:
-        self.entries: dict[CanonicalLine, list[int]] = {}
-        self.hom: list[tuple[int, int, int]] = []
-        self.points: list[Point] = []
-        self.visible_edges = 0
-        self.two_point_pairs: set[tuple[int, int]] = set()
-        self.multi: dict[CanonicalLine, list[int]] = {}  # sorted along line
-        self.lemma_failures: dict[CanonicalLine, list[dict]] = {}
-        self.max_line: int = 0
-
-    def add_point(self, p: Point) -> None:
-        self.points.append(p)
-        hp = _homogeneous(p)
-        self.hom.append(hp)
-        n = len(self.points)
-        changed: list[CanonicalLine] = []
-        for m in range(1, n):
-            line = _line_from_hom(self.hom[m - 1], hp)
-            lst = self.entries.get(line)
-            if lst is None:
-                self.entries[line] = [m, n]
-                self.two_point_pairs.add((m, n))
-                self.visible_edges += 1
-                if self.max_line < 2:
-                    self.max_line = 2
-            elif lst[-1] != n:
-                lst.append(n)
-                self.visible_edges += 1
-                if len(lst) == 3:
-                    self.two_point_pairs.discard((lst[0], lst[1]))
-                if len(lst) > self.max_line:
-                    self.max_line = len(lst)
-                changed.append(line)
-        for line in changed:
-            lst = self.entries[line]
-            self.multi[line] = _sorted_along_line(lst, self.points, line)
-            fails = _lemma_line_failures(line, lst, self.points)
-            if fails:
-                self.lemma_failures[line] = fails
-            else:
-                self.lemma_failures.pop(line, None)
+# every prefix of a construction run
 
 
 def verify_construction_run(
@@ -478,155 +550,51 @@ def verify_construction_run(
     k: int = 4,
     checks: Sequence[str] | None = None,
 ) -> tuple[list[tuple[int, list[VerificationReport]]], ConstructionState]:
-    """Run the prefix checks on every yielded state of a construction run.
+    """Run the checks (default `CHECK_ORDER`) on every yielded state of a
+    construction run.
 
     ``states`` is consumed once (pass ``generate_states(...)`` directly).
     Returns the per-prefix reports plus the final state.  Reports are
-    identical to calling the corresponding pure check on each prefix.
-    Raises ConsistencyError if the yielded states do not grow one point at
-    a time from a seed triple, or if a state's pending set diverges from
-    the two-point lines of its own points.
+    those of the per-set checks on each prefix.  Raises ConsistencyError
+    if the yielded states do not grow one point at a time from a seed
+    triple, or if a state's pending set diverges from the two-point lines
+    of its own points.
     """
     if k < 3:
         raise InputError(f"collinearity threshold must be >= 3, got {k}")
-    selected = list(CHECK_ORDER) if checks is None else list(checks)
-    unknown = [c for c in selected if c not in CHECK_ORDER]
-    if unknown:
-        raise InputError(f"unknown checks: {unknown}; known: {list(CHECK_ORDER)}")
-    name_no_k = f"no{k}collinear"
-
-    sweep = _SweepMap()
-    record_failures: list[dict] = []
-    bound_failures: list[dict] = []
+    selected = list(CHECK_ORDER) if checks is None else _known(checks)
+    engine = _Engine(selected, k)
     results: list[tuple[int, list[VerificationReport]]] = []
     state: ConstructionState | None = None
-    expected_n = 3
 
     for state in states:
         n = len(state.points)
-        if n != expected_n:
+        if n != len(results) + 3:
             raise ConsistencyError(
                 f"states must grow one point at a time from 3; got {n}, "
-                f"expected {expected_n}"
+                f"expected {len(results) + 3}"
             )
-        expected_n += 1
-        if n == 3:
-            if len(state.trace) != 0:
-                raise ConsistencyError("seed state carries insertion records")
-            for p in state.points:
-                sweep.add_point(p)
-        else:
-            if len(state.trace) != n - 3:
-                raise ConsistencyError(
-                    f"state with {n} points carries {len(state.trace)} records"
-                )
-            rec = state.trace[-1]
-            if rec.n != n or state.points[-1] != rec.point:
-                raise ConsistencyError(
-                    f"last record ({rec.n}) does not describe the newest point ({n})"
-                )
-            if not (1 <= rec.pair.i < rec.pair.j < rec.n):
-                raise ConsistencyError(
-                    f"record for point {rec.n} names invalid pair {tuple(rec.pair)}"
-                )
-            sweep.add_point(state.points[-1])
-            failure = _record_failure(rec, sweep.hom, sweep.points)
-            if failure is not None:
-                record_failures.append(failure)
-            bound = comb(rec.n - 3, 2)
-            if not 0 <= rec.excluded_count <= bound:
-                bound_failures.append(
-                    {"n": rec.n, "excluded_count": rec.excluded_count, "bound": bound}
-                )
+        if len(state.trace) != n - 3:
+            raise ConsistencyError(
+                f"state with {n} points carries {len(state.trace)} records"
+            )
+        for p in state.points[len(engine.points):]:
+            engine.add_point(p)
+        if n > 3:
+            _check_record(state.trace[-1], n, state.points[-1])
+            engine.add_record(state.trace[-1])
 
-        if state.pending != sweep.two_point_pairs:
-            extra = sorted(tuple(p) for p in state.pending - sweep.two_point_pairs)
-            missing = sorted(sweep.two_point_pairs - state.pending)
+        # After this check the engine's default pending set is the state's.
+        two_point = engine.two_point_pairs()
+        if state.pending != two_point:
+            extra = sorted(tuple(p) for p in state.pending - two_point)
+            missing = sorted(two_point - state.pending)
             raise ConsistencyError(
                 f"pending set diverges from two-point lines at {n} points: "
                 f"extra {extra[:5]}, missing {missing[:5]}"
             )
-
-        reports = []
-        for check in selected:
-            reports.append(_sweep_report(check, name_no_k, k, sweep, state,
-                                          record_failures, bound_failures))
-        results.append((n, reports))
+        results.append((n, [engine.report(name) for name in selected]))
 
     if state is None:
         raise InputError("no states to verify")
     return results, state
-
-
-def _sweep_report(
-    check: str,
-    name_no_k: str,
-    k: int,
-    sweep: _SweepMap,
-    state: ConstructionState,
-    record_failures: list[dict],
-    bound_failures: list[dict],
-) -> VerificationReport:
-    n = len(sweep.points)
-    if check == "no4collinear":
-        worst: tuple[list[int], CanonicalLine] | None = None
-        if sweep.max_line >= k:
-            for line, lst in sweep.entries.items():
-                if len(lst) >= k and (worst is None or lst < worst[0]):
-                    worst = (lst, line)
-        counterexample = (
-            {"indices": list(worst[0]), "line": _line_json(worst[1])}
-            if worst is not None
-            else None
-        )
-        return VerificationReport(
-            name_no_k,
-            worst is None,
-            counterexample,
-            {"points": n, "lines": len(sweep.entries), "max_collinear": sweep.max_line},
-        )
-    if check == "uniquetriple":
-        counterexample = record_failures[0] if record_failures else None
-        return VerificationReport(
-            "uniquetriple",
-            not record_failures,
-            counterexample,
-            {"records": len(state.trace), "points": n},
-        )
-    if check == "visiblepairlemma":
-        qualifying = sum(len(lst) - 1 for lst in sweep.multi.values())
-        failures = [f for fails in sweep.lemma_failures.values() for f in fails]
-        counterexample = min(failures, key=lambda f: f["pair"]) if failures else None
-        return VerificationReport(
-            "visiblepairlemma",
-            not failures,
-            counterexample,
-            {"points": n, "qualifying_pairs": qualifying},
-        )
-    if check == "trianglepending":
-        h_edges = []
-        for lst in sweep.multi.values():
-            for u, v in zip(lst, lst[1:]):
-                h_edges.append((u, v) if u < v else (v, u))
-        violations = _h_triangle_violations(h_edges)
-        counterexample = {"triangle": list(violations[0])} if violations else None
-        return VerificationReport(
-            "trianglepending",
-            not violations,
-            counterexample,
-            {
-                "points": n,
-                "visible_edges": sweep.visible_edges,
-                "candidate_edges": len(h_edges),
-                "violations": len(violations),
-            },
-        )
-    if check == "exclusionbound":
-        counterexample = bound_failures[0] if bound_failures else None
-        return VerificationReport(
-            "exclusionbound",
-            not bound_failures,
-            counterexample,
-            {"records": len(state.trace)},
-        )
-    raise ImpossibleStateError(f"unhandled check {check!r}")

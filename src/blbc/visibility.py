@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import ItemsView, Iterable, Iterator, Sequence
 
 from .clique import find_max_clique
 from .errors import DuplicatePointError, ImpossibleStateError, InputError
@@ -119,17 +119,31 @@ class LineIncidenceMap:
         else:
             hom = [_homogeneous(Point(*p)) for p in ps]
         lmap = cls()
-        entries = lmap._entries
-        for j in range(1, len(hom)):
-            hj = hom[j]
-            for i in range(j):
-                line = _line_from_hom(hom[i], hj)
-                lst = entries.get(line)
-                if lst is None:
-                    entries[line] = [i + 1, j + 1]
-                elif lst[-1] != j + 1:
-                    lst.append(j + 1)
+        for n in range(2, len(hom) + 1):
+            lmap.add_point(hom, n)
         return lmap
+
+    def add_point(
+        self, hom: Sequence[tuple[int, int, int]], n: int
+    ) -> list[CanonicalLine]:
+        """Record point n, homogeneous ``hom[n - 1]``, against points 1..n-1.
+
+        This is the only way a map grows.  Returns the lines that already
+        carried two or more points and now carry n too; every other pair
+        (m, n) starts a new two-point line.
+        """
+        entries = self._entries
+        hn = hom[n - 1]
+        joined: list[CanonicalLine] = []
+        for m in range(1, n):
+            line = _line_from_hom(hom[m - 1], hn)
+            lst = entries.get(line)
+            if lst is None:
+                entries[line] = [m, n]
+            elif lst[-1] != n:
+                lst.append(n)
+                joined.append(line)
+        return joined
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -141,16 +155,15 @@ class LineIncidenceMap:
         lst = self._entries.get(line)
         return None if lst is None else tuple(lst)
 
+    def items(self) -> ItemsView[CanonicalLine, list[int]]:
+        """Live (line, ascending indices) view without copies, for hot
+        loops; callers must not modify the lists."""
+        return self._entries.items()
+
     def entries(self) -> Iterator[tuple[CanonicalLine, tuple[int, ...]]]:
         """All (line, ascending indices) entries, in deterministic order."""
         for line, lst in self._entries.items():
             yield line, tuple(lst)
-
-    def multi_entries(self) -> Iterator[tuple[CanonicalLine, tuple[int, ...]]]:
-        """Entries whose line carries three or more points."""
-        for line, lst in self._entries.items():
-            if len(lst) >= 3:
-                yield line, tuple(lst)
 
     def two_point_pairs(self) -> set[tuple[int, int]]:
         """Index pairs whose spanning line carries no third point."""
@@ -262,7 +275,7 @@ def build_visibility_graph(ps: PointSet) -> VisibilityGraph:
     it is consecutive along the (unique) line through it."""
     lmap = LineIncidenceMap.from_point_set(ps)
     edges: list[tuple[int, int]] = []
-    for line, lst in lmap._entries.items():
+    for line, lst in lmap.items():
         if len(lst) == 2:
             edges.append((lst[0], lst[1]))
         else:
@@ -407,21 +420,50 @@ def blocking_parameters(ps: PointSet, i: int, j: int) -> set[Fraction]:
         raise InputError(f"need two distinct indices, got {i} twice")
     ps.point(i)
     ps.point(j)
-    hom = ps.homogeneous()
+    return _crossing_parameters(
+        LineIncidenceMap.from_point_set(ps), ps.homogeneous(), i, j
+    )
+
+
+def _crossing_parameters(
+    lines: LineIncidenceMap, hom: Sequence[tuple[int, int, int]], i: int, j: int
+) -> set[Fraction]:
+    """The exclusion kernel: parameters t in (0, 1) where a line of
+    ``lines`` other than the pair's own crosses the open segment (p_i, p_j).
+
+    Only lines disjoint from the pair can cross the open segment; a line
+    through an endpoint meets the segment's line at that endpoint alone.
+    Both facts are asserted against the incidence map, not assumed.
+    """
     a_h = hom[i - 1]
     b_h = hom[j - 1]
     base = _line_from_hom(a_h, b_h)
+    wa = a_h[2]
+    wb = b_h[2]
     out: set[Fraction] = set()
-    for line in LineIncidenceMap.from_point_set(ps)._entries:
+    for line, members in lines.items():
         if line == base:
             continue
         fa = _line_eval_hom(line, a_h)
         if fa == 0:
-            continue  # meets the segment's line at endpoint i only
+            if i not in members:
+                raise ImpossibleStateError(
+                    f"point {i} lies on line {tuple(line)} which does not list it"
+                )
+            continue  # crosses the segment's line at endpoint i only
         fb = _line_eval_hom(line, b_h)
         if fb == 0:
+            if j not in members:
+                raise ImpossibleStateError(
+                    f"point {j} lies on line {tuple(line)} which does not list it"
+                )
             continue
-        if (fa > 0) == (fb > 0):
-            continue
-        out.add(Fraction(fa * b_h[2], fa * b_h[2] - fb * a_h[2]))
+        if i in members or j in members:
+            raise ImpossibleStateError(
+                f"line {tuple(line)} lists an endpoint of {(i, j)} "
+                "but passes through neither"
+            )
+        if (fa > 0) != (fb > 0):
+            # strict interior crossing of a disjoint line
+            out.add(Fraction(fa * wb, fa * wb - fb * wa))
     return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -203,6 +204,37 @@ def test_verify_trace_checks_require_trace(tmp_path, capsys):
     points, _ = gen(tmp_path, 4)
     assert main(["verify", "--points", str(points), "--checks", "uniquetriple"]) == 2
     assert "--trace" in capsys.readouterr().err
+
+
+def test_verify_rejects_trace_from_another_run(tmp_path, capsys):
+    # the trace is checked against the points whichever checks are named
+    points, _ = gen(tmp_path, 10)
+    _, trace = gen(tmp_path, 20, trace=True)
+    argv = ["verify", "--points", str(points), "--trace", str(trace)]
+    assert main(argv + ["--checks", "exclusionbound"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "10 points do not match 17 insertion records (expected 7)" in captured.err
+
+
+def test_output_bytes_are_pinned(tmp_path, capsys):
+    points, trace = gen(tmp_path, 120, trace=True)
+    bad = write_points(tmp_path / "bad.json", [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])
+    lattice = write_points(tmp_path / "lattice.json",
+                           [(x, y) for y in range(6) for x in range(6)])
+    cases = [
+        (["verify", "--points", str(points), "--trace", str(trace)], 0,
+         "4828677d728442c876c75711beb4a956d138b26e737cebd969e7f12e91bf74d5"),
+        (["verify", "--points", bad,
+          "--checks", "no4collinear,visiblepairlemma,trianglepending"], 1,
+         "13082d934600c30adc52a160457dfaab26b342012b067b40b046dc3acb922897"),
+        (["analyze", "--points", lattice, "--k", "4", "--l", "4"], 0,
+         "6458158df0d0a50adfcc3bd9ab9b949222d40a49cb377608dd8a09d23ae762bc"),
+    ]
+    for argv, code, digest in cases:
+        assert main(argv) == code, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
 
 
 def test_verify_rejects_malformed_rational(tmp_path, capsys):

@@ -4,13 +4,11 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from blbc.errors import DegenerateSegmentError, InputError, ParameterRangeError
+from blbc.errors import DegenerateSegmentError, ParameterRangeError
 from blbc.geometry import (
     CanonicalLine,
-    NoIntersection,
     Orientation,
     Point,
-    intersect,
     line_through,
     on_open_segment,
     orientation,
@@ -116,22 +114,6 @@ def test_line_through_degenerate():
         line_through(P(1, 2), P(1, 2))
 
 
-def test_from_coeffs_normalizes():
-    assert CanonicalLine.from_coeffs(2, 4, 6) == CanonicalLine(1, 2, 3)
-    assert CanonicalLine.from_coeffs(-1, -2, -3) == CanonicalLine(1, 2, 3)
-    assert CanonicalLine.from_coeffs(0, -5, 10) == CanonicalLine(0, 1, -2)
-    assert CanonicalLine.from_coeffs(Fraction(1, 2), 0, Fraction(3, 2)) == (
-        CanonicalLine(1, 0, 3)
-    )
-
-
-def test_from_coeffs_rejects_degenerate():
-    with pytest.raises(InputError):
-        CanonicalLine.from_coeffs(0, 0, 1)
-    with pytest.raises(InputError):
-        CanonicalLine.from_coeffs(0, 0, 0)
-
-
 def test_contains():
     line = line_through(P(0, 1), P(1, 0))
     assert line.contains(P("1/2", "1/2"))
@@ -172,47 +154,6 @@ def test_collinear_third_point_on_line(a, b, c):
     assert line_through(a, b).contains(c) == (
         orientation(a, b, c) is Orientation.COLLINEAR
     )
-
-
-# intersect
-
-
-def test_intersect_examples():
-    x_axis = line_through(P(0, 0), P(1, 0))
-    y_axis = line_through(P(0, 0), P(0, 1))
-    assert intersect(x_axis, y_axis) == P(0, 0)
-
-    diag = line_through(P(0, 0), P(1, 1))
-    anti = line_through(P(0, 1), P(1, 0))
-    assert intersect(diag, anti) == P("1/2", "1/2")
-
-
-def test_intersect_parallel():
-    y0 = line_through(P(0, 0), P(1, 0))
-    y5 = line_through(P(0, 5), P(1, 5))
-    assert intersect(y0, y5) is NoIntersection.PARALLEL
-
-
-def test_intersect_identical():
-    a = line_through(P(0, 0), P(2, 2))
-    b = line_through(P(-1, -1), P(3, 3))
-    assert intersect(a, b) is NoIntersection.IDENTICAL
-
-
-@given(points, points, points, points)
-def test_intersect_point_on_both_lines(a, b, c, d):
-    if a == b or c == d:
-        return
-    l1, l2 = line_through(a, b), line_through(c, d)
-    got = intersect(l1, l2)
-    if isinstance(got, Point):
-        assert l1.contains(got) and l2.contains(got)
-    elif got is NoIntersection.IDENTICAL:
-        assert l1 == l2
-    else:
-        assert got is NoIntersection.PARALLEL
-        assert l1 != l2
-        assert l1.a * l2.b == l2.a * l1.b
 
 
 # segment_param_point

@@ -2,19 +2,21 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 
 from blbc.construction import (
     DEFAULT_SEED,
+    InsertionRecord,
     OrdinaryPair,
     generate,
     generate_states,
     init_state,
 )
 from blbc.errors import ConsistencyError, InputError
-from blbc.geometry import Point, line_through
+from blbc.geometry import Orientation, Point, line_through, on_open_segment, orientation
 from blbc.verifier import (
     CHECK_ORDER,
     VerificationReport,
@@ -28,7 +30,7 @@ from blbc.verifier import (
     verify_unique_triple_at_insertion,
     verify_visible_pair_lemma,
 )
-from blbc.visibility import LineIncidenceMap, PointSet, is_visible
+from blbc.visibility import PointSet, build_visibility_graph_naive, is_visible
 
 F = Fraction
 
@@ -410,6 +412,99 @@ def test_trace_selections_flag_wrong_step():
 # whole-run sweep
 
 
+# Brute-force oracles for the sweep and the per-set checks.  They work from
+# the definitions (orientation, betweenness, per-pair visibility) and build
+# no incidence map, so they share no code with the check engine beyond the
+# exact predicates.
+
+
+def oracle_lines(points):
+    """Every spanned line, as the ascending tuple of all indices on it."""
+    idx = range(1, len(points) + 1)
+    return {
+        tuple(r for r in idx if orientation(points[i - 1], points[j - 1], points[r - 1])
+              is Orientation.COLLINEAR)
+        for i, j in combinations(idx, 2)
+    }
+
+
+def oracle_line_json(p, q):
+    a, b = p.y - q.y, q.x - p.x
+    c = a * p.x + b * p.y
+    scale = lcm(a.denominator, b.denominator, c.denominator)
+    a, b, c = (int(v * scale) for v in (a, b, c))
+    g = gcd(a, b, c) * (-1 if a < 0 or (a == 0 and b < 0) else 1)
+    return {"a": a // g, "b": b // g, "c": c // g}
+
+
+def oracle_point_reports(points, pending):
+    """no4collinear, visiblepairlemma and trianglepending from definitions."""
+    n = len(points)
+    lines = oracle_lines(points)
+    four = sorted(line for line in lines if len(line) >= 4)
+    no4 = VerificationReport(
+        "no4collinear",
+        not four,
+        {"indices": list(four[0]),
+         "line": oracle_line_json(points[four[0][0] - 1], points[four[0][1] - 1])}
+        if four else None,
+        {"points": n, "lines": len(lines), "max_collinear": max(map(len, lines), default=n)},
+    )
+
+    visible = build_visibility_graph_naive(PointSet(points)).edges
+    line_of = {pair: line for line in lines for pair in combinations(line, 2)}
+    qualifying, failures = 0, []
+    for i, k in visible:
+        line = line_of[(i, k)]
+        if len(line) < 3:
+            continue
+        qualifying += 1
+        (third, *_) = [m for m in line if m not in (i, k)]
+        if len(line) > 3:
+            reason = "four_collinear"
+        elif third > k:
+            reason = "third_not_earlier"
+        elif not on_open_segment(points[k - 1], points[i - 1], points[third - 1]):
+            reason = "not_between"
+        else:
+            continue
+        failures.append({"pair": [i, k], "line_points": list(line), "reason": reason})
+    lemma = VerificationReport(
+        "visiblepairlemma",
+        not failures,
+        min(failures, key=lambda f: f["pair"]) if failures else None,
+        {"points": n, "qualifying_pairs": qualifying},
+    )
+
+    candidates = {e for e in visible if e not in pending}
+    triangles = [t for t in combinations(range(1, n + 1), 3)
+                 if all(e in candidates for e in combinations(t, 2))]
+    triangle = VerificationReport(
+        "trianglepending",
+        not triangles,
+        {"triangle": list(triangles[0])} if triangles else None,
+        {"points": n, "visible_edges": len(visible),
+         "candidate_edges": len(candidates), "violations": len(triangles)},
+    )
+    return no4, lemma, triangle, failures
+
+
+def oracle_record_failure(points, rec):
+    m, (i, j) = rec.n, rec.pair
+    collinear = [[a, b] for a, b in combinations(range(1, m), 2)
+                 if orientation(points[a - 1], points[b - 1], points[m - 1])
+                 is Orientation.COLLINEAR]
+    between = on_open_segment(points[m - 1], points[i - 1], points[j - 1])
+    if collinear == [[i, j]] and between:
+        return None
+    return {"n": m, "expected_pair": [i, j], "collinear_pairs": collinear,
+            "on_segment": between}
+
+
+def oracle_two_point_pairs(points):
+    return {line for line in oracle_lines(points) if len(line) == 2}
+
+
 def test_sweep_reports_equal_pure_checks():
     snapshots = []
     for state in generate_states(DEFAULT_SEED, 25):
@@ -421,15 +516,70 @@ def test_sweep_reports_equal_pure_checks():
     assert final.n == 25
     for (n, reports), (points, trace, pending) in zip(results, snapshots):
         assert n == len(points)
-        ps = PointSet(points)
-        pure = [
-            verify_no_k_collinear(ps, 4),
-            verify_unique_triple_at_insertion(trace, ps),
-            verify_visible_pair_lemma(ps),
-            verify_triangle_pending(ps, pending),
-            verify_exclusion_bound(trace),
+        no4, lemma, triangle, _ = oracle_point_reports(points, pending)
+        records = {"records": len(trace), "points": n}
+        unique = [f for f in (oracle_record_failure(points, r) for r in trace) if f]
+        bound = [{"n": r.n, "excluded_count": r.excluded_count, "bound": comb(r.n - 3, 2)}
+                 for r in trace if not 0 <= r.excluded_count <= comb(r.n - 3, 2)]
+        assert reports == [
+            no4,
+            VerificationReport("uniquetriple", not unique, unique[0] if unique else None,
+                               records),
+            lemma,
+            triangle,
+            VerificationReport("exclusionbound", not bound, bound[0] if bound else None,
+                               {"records": len(trace)}),
         ]
-        assert reports == pure
+
+
+FAILING_SETS = {
+    "four_collinear": [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)],
+    "third_not_earlier": [(0, 0), (1, 0), (2, 0), (0, 1)],
+    "not_between": [(1, 0), (2, 0), (0, 0), (0, 1)],
+    # the pending two-point pairs miss every edge of the visible triangle
+    # (1, 2, 5): its edges lie on a row, a column and a diagonal
+    "unpended_triangle": [(x, y) for y in range(3) for x in range(3)],
+}
+
+
+def fabricated_states(points):
+    """Prefix states of a run that placed ``points`` in order: seed first,
+    then one insertion record per point, pending = the two-point pairs."""
+    points = PointSet(points).points
+    trace = [InsertionRecord(n, OrdinaryPair(1, 2), 0, F(1, 2), points[n - 1])
+             for n in range(4, len(points) + 1)]
+    for n in range(3, len(points) + 1):
+        yield SimpleNamespace(points=points[:n], trace=trace[: n - 3],
+                              pending=oracle_two_point_pairs(points[:n]))
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_SETS))
+def test_failing_sets_match_oracles_one_shot_and_sweep(name):
+    ps = PointSet(FAILING_SETS[name])
+    pending = oracle_two_point_pairs(ps.points)
+    no4, lemma, triangle, failures = oracle_point_reports(ps.points, pending)
+    reasons = {f["reason"] for f in failures}
+    assert name in reasons or (name == "unpended_triangle" and not triangle.passed)
+    one_shot = [verify_no_k_collinear(ps), verify_visible_pair_lemma(ps),
+                verify_triangle_pending(ps, pending)]
+    assert one_shot == [no4, lemma, triangle]
+    results, _ = verify_construction_run(
+        fabricated_states(ps.points),
+        checks=["no4collinear", "visiblepairlemma", "trianglepending"],
+    )
+    assert results[-1] == (ps.n, one_shot)
+
+
+def test_trianglepending_missing_edge_matches_oracle():
+    state = generate(DEFAULT_SEED, 10)
+    ps = state.point_set()
+    violated = 0
+    for pair in sorted(state.pending):
+        pending = set(state.pending) - {pair}
+        _, _, triangle, _ = oracle_point_reports(ps.points, pending)
+        violated += not triangle.passed
+        assert verify_triangle_pending(ps, pending) == triangle
+    assert violated
 
 
 def test_sweep_passes_and_covers_every_prefix():

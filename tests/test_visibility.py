@@ -107,10 +107,23 @@ def test_incidence_map_pair_partition_random():
 
 def test_two_point_pairs_and_multi_entries():
     lmap = LineIncidenceMap.from_point_set(PointSet([(0, 0), (1, 0), (2, 0), (0, 1)]))
-    multi = list(lmap.multi_entries())
+    multi = [(line, tuple(lst)) for line, lst in lmap.items() if len(lst) >= 3]
     assert len(multi) == 1
     assert multi[0][1] == (1, 2, 3)
     assert lmap.two_point_pairs() == {(1, 4), (2, 4), (3, 4)}
+
+
+def test_add_point_returns_the_lines_it_joined():
+    ps = PointSet([(0, 0), (2, 0), (0, 2), (1, 0), (0, 1), (1, 1)])
+    hom = ps.homogeneous()
+    lmap = LineIncidenceMap()
+    assert [lmap.add_point(hom, n) for n in range(1, 5)] == [[], [], [], [
+        line_through(ps.point(1), ps.point(2))
+    ]]
+    assert lmap.add_point(hom, 5) == [line_through(ps.point(1), ps.point(3))]
+    # (1, 1) lies on the line through (2, 0) and (0, 2) only
+    assert lmap.add_point(hom, 6) == [line_through(ps.point(2), ps.point(3))]
+    assert dict(lmap.entries()) == dict(LineIncidenceMap.from_point_set(ps).entries())
 
 
 def test_max_entry_breaks_ties_to_smallest_indices():
