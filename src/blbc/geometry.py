@@ -1,7 +1,7 @@
 """Exact planar primitives over arbitrary-precision rationals.
 
 Coordinates are `fractions.Fraction` values, so every predicate here is
-exact: collinearity, betweenness and intersection are decided by integer
+exact: collinearity and betweenness are decided by integer
 arithmetic (on homogenised coordinates where speed matters), never by
 floating point.
 """
@@ -57,21 +57,6 @@ def _homogeneous(p: Point) -> tuple[int, int, int]:
     yn, yd = p.y.numerator, p.y.denominator
     w = xd * yd // gcd(xd, yd)
     return xn * (w // xd), yn * (w // yd), w
-
-
-def _orient_hom(
-    ha: tuple[int, int, int], hb: tuple[int, int, int], hc: tuple[int, int, int]
-) -> int:
-    """Orientation sign from homogeneous triples (all weights positive)."""
-    xa, ya, wa = ha
-    xb, yb, wb = hb
-    xc, yc, wc = hc
-    det = (
-        xa * (yb * wc - yc * wb)
-        - ya * (xb * wc - xc * wb)
-        + wa * (xb * yc - xc * yb)
-    )
-    return (det > 0) - (det < 0)
 
 
 def _line_from_hom(ha: tuple[int, int, int], hb: tuple[int, int, int]) -> CanonicalLine:

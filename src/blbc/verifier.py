@@ -13,31 +13,33 @@ with a machine-readable counterexample on failure:
 - ``trianglepending``: every triangle of the visibility graph keeps at
   least one edge in the pending set.
 - ``exclusionbound``: each record's excluded count is within C(n-3, 2).
-- ``ordinaryoracle``: a selector's pick equals the exhaustive minimum
-  (smallest j, then i) over pairs with no collinear third point.
+- ``ordinaryoracle``: a selector's pick equals the minimum (smallest j,
+  then i) over pairs with no collinear third point.
 
 `CHECKS` names them all and says which need a trace and which run by
 default.  One engine computes every report: it is fed points one at a
-time, and each insertion record after its point, and grows its own
-`LineIncidenceMap` from the raw coordinates.  `verify_construction_run`
-reports after every point of a run, so sweeping all prefixes costs
-little more than verifying the final set once; the per-set functions and
-`verify_points` feed a whole set and report once.  Sweep and one-shot
-reports are therefore identical by construction.  The independent
-references are brute force: `is_visible` and `build_visibility_graph_naive`
-decide visibility pair by pair, without an incidence map.
+time, and each insertion record after its point.  The point checks read
+the engine's own `LineIncidenceMap`, grown from the raw coordinates;
+``uniquetriple`` and ``ordinaryoracle`` read `_Collinearity`, which
+groups the earlier points by exact direction from each new one and uses
+no incidence map; ``exclusionbound`` reads each record alone.
+`verify_construction_run` reports after every point of a run; the
+per-set functions and `verify_points` feed a whole set and report once,
+so sweep and one-shot reports are identical by construction.  The
+independent references are brute force: `is_visible` and
+`build_visibility_graph_naive` decide visibility pair by pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from math import comb, gcd
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .construction import ConstructionState, InsertionRecord, OrdinaryPair
 from .errors import ConsistencyError, InputError
-from .geometry import CanonicalLine, Point, _homogeneous, _orient_hom, on_open_segment
+from .geometry import CanonicalLine, Point, _homogeneous, on_open_segment
 from .visibility import LineIncidenceMap, PointSet, _sorted_along_line
 
 
@@ -108,57 +110,78 @@ def _h_triangle_violations(h_edges: Iterable[tuple[int, int]]) -> list[tuple[int
     return violations
 
 
-def _record_failure(
-    rec: InsertionRecord,
-    hom: Sequence[tuple[int, int, int]],
-    points: Sequence[Point],
-) -> dict | None:
-    """Re-check one insertion record against the first rec.n points.
+class _Collinearity:
+    """Which pairs of the points fed so far have a third point on their line.
 
-    Groups the earlier points by exact direction from the new point; the
-    collinear pairs through the new point are the pairs within a group.
-    Returns a counterexample dict, or None when the record holds.
+    Each new point n groups the earlier points by exact direction from it,
+    using no incidence map.  The pairs within a group are collinear with n
+    (``through``); every pair inside a group plus n is ``blocked``.
+    ``before`` is the least unblocked pair, in (j, i) order, over the
+    points placed before n: the pair the construction must have selected.
     """
-    m = rec.n
-    hx, hy, hw = hom[m - 1]
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for r in range(1, m):
-        rx, ry, rw = hom[r - 1]
-        dx = rx * hw - hx * rw
-        dy = ry * hw - hy * rw
-        if dx == 0 and dy == 0:
-            raise ConsistencyError(f"points {r} and {m} coincide")
-        g = gcd(dx, dy)
-        dx //= g
-        dy //= g
-        if dx < 0 or (dx == 0 and dy < 0):
-            dx, dy = -dx, -dy
-        buckets.setdefault((dx, dy), []).append(r)
-    collinear_pairs: list[list[int]] = []
-    for group in buckets.values():
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                collinear_pairs.append([group[a], group[b]])
-    collinear_pairs.sort()
-    pair_matches = collinear_pairs == [[rec.pair.i, rec.pair.j]]
-    between = on_open_segment(
-        points[m - 1], points[rec.pair.i - 1], points[rec.pair.j - 1]
-    )
-    if pair_matches and between:
+
+    def __init__(self, hom: Sequence[tuple[int, int, int]]) -> None:
+        self.hom = hom  # read as it grows; its points must be pairwise distinct
+        self.n = 0
+        self.blocked: set[tuple[int, int]] = set()
+        self.through: list[tuple[int, int]] = []
+        self.before: OrdinaryPair | None = None
+        # (j, i) of the least pair not known to be blocked; it only moves
+        # forward, as blocked only grows and new pairs sort after old ones
+        self._next = (2, 1)
+
+    def least(self) -> OrdinaryPair | None:
+        """Least unblocked pair in (j, i) order, or None."""
+        j, i = self._next
+        while j <= self.n and (i, j) in self.blocked:
+            i += 1
+            if i == j:
+                j, i = j + 1, 1
+        self._next = (j, i)
+        return OrdinaryPair(i, j) if j <= self.n else None
+
+    def advance(self, n: int) -> _Collinearity:
+        """Feed points up to n; ``through`` and ``before`` then describe n."""
+        for m in range(self.n + 1, n + 1):
+            self.before = self.least()
+            self.n = m
+            hx, hy, hw = self.hom[m - 1]
+            buckets: dict[tuple[int, int], list[int]] = {}
+            for r in range(1, m):
+                rx, ry, rw = self.hom[r - 1]
+                dx = rx * hw - hx * rw
+                dy = ry * hw - hy * rw
+                g = gcd(dx, dy)
+                if dx < 0 or (dx == 0 and dy < 0):
+                    g = -g
+                buckets.setdefault((dx // g, dy // g), []).append(r)
+            self.through = []
+            for group in buckets.values():
+                if len(group) > 1:
+                    self.through.extend(combinations(group, 2))
+                    self.blocked.update(combinations(group + [m], 2))
+            self.through.sort()
+        return self
+
+
+def _record_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
+    """Counterexample unless point rec.n is collinear with exactly its
+    recorded pair of earlier points, strictly between the two; else None."""
+    through = engine.collinearity.advance(rec.n).through
+    i, j = rec.pair
+    points = engine.points
+    between = on_open_segment(points[rec.n - 1], points[i - 1], points[j - 1])
+    if through == [(i, j)] and between:
         return None
     return {
-        "n": m,
-        "expected_pair": [rec.pair.i, rec.pair.j],
-        "collinear_pairs": collinear_pairs,
+        "n": rec.n,
+        "expected_pair": [i, j],
+        "collinear_pairs": [list(p) for p in through],
         "on_segment": between,
     }
 
 
-def _bound_failure(
-    rec: InsertionRecord,
-    hom: Sequence[tuple[int, int, int]],
-    points: Sequence[Point],
-) -> dict | None:
+def _bound_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
     """Counterexample when the record's excluded count is outside
     0..C(n-3, 2), else None."""
     bound = comb(rec.n - 3, 2)
@@ -167,15 +190,20 @@ def _bound_failure(
     return {"n": rec.n, "excluded_count": rec.excluded_count, "bound": bound}
 
 
-def _selection_failure(
-    rec: InsertionRecord,
-    hom: Sequence[tuple[int, int, int]],
-    points: Sequence[Point],
+def _selection_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
+    """Counterexample when the record's pair is not the least ordinary
+    pair over the points placed before it, else None."""
+    failure = _selection_counterexample(rec.pair, engine.collinearity.advance(rec.n).before)
+    return failure and {**failure, "n": rec.n}
+
+
+def _selection_counterexample(
+    selected: OrdinaryPair | None, expected: OrdinaryPair | None
 ) -> dict | None:
-    """Counterexample when the record's pair is not the exhaustive pick
-    over the points placed before it, else None."""
-    step = verify_ordinary_oracle(PointSet(points[: rec.n - 1]), rec.pair)
-    return None if step.passed else {**step.counterexample, "n": rec.n}
+    """None when ``selected`` is the least ordinary pair ``expected``."""
+    if selected is not None and selected == expected:
+        return None
+    return {"selected": selected and list(selected), "expected": expected and list(expected)}
 
 
 def _check_trace_against_points(ps: PointSet, trace: Sequence[InsertionRecord]) -> None:
@@ -227,7 +255,8 @@ class _Engine:
     construction's bookkeeping, and lazily: a point check first brings the
     map up to the points fed and refreshes the per-line state (order along
     the line, lemma failures) of the lines touched since the last report.
-    Records are judged on arrival by the selected trace checks.
+    Records are judged on arrival by the selected trace checks; those that
+    ask which pairs are collinear advance ``collinearity`` to the record.
     ``pending=None`` stands for the pending set of a valid run: exactly
     the pairs whose line carries no third point.
     """
@@ -243,6 +272,8 @@ class _Engine:
         self.pending = pending
         self.points: list[Point] = []
         self.hom: list[tuple[int, int, int]] = []
+        self._index: dict[tuple[int, int, int], int] = {}  # hom -> 1-based index
+        self.collinearity = _Collinearity(self.hom)
         self.records = 0
         self.failures: dict[str, dict] = {}  # first failure per trace check
         self.lines = LineIncidenceMap()
@@ -253,15 +284,19 @@ class _Engine:
         self._multi: dict[CanonicalLine, tuple[list[int], list[dict]]] = {}
 
     def add_point(self, p: Point) -> None:
+        h, n = _homogeneous(p), len(self.hom) + 1
+        first = self._index.setdefault(h, n)
+        if first != n:
+            raise ConsistencyError(f"points {first} and {n} coincide")
         self.points.append(p)
-        self.hom.append(_homogeneous(p))
+        self.hom.append(h)
 
     def add_record(self, rec: InsertionRecord) -> None:
         self.records += 1
         for name in self.checks:
             judge = CHECKS[name].judge
             if judge is not None and name not in self.failures:
-                failure = judge(rec, self.hom, self.points)
+                failure = judge(self, rec)
                 if failure is not None:
                     self.failures[name] = failure
 
@@ -367,7 +402,7 @@ class _Check(NamedTuple):
     runs by default."""
 
     report: Callable[[_Engine], VerificationReport]
-    judge: Callable[..., dict | None] | None
+    judge: Callable[[_Engine, InsertionRecord], dict | None] | None
     default: bool
 
     @property
@@ -375,8 +410,10 @@ class _Check(NamedTuple):
         return self.judge is not None
 
 
-# Every check, in report order.  ordinaryoracle re-derives every selection
-# exhaustively (cubic per step), so it runs only when asked for.
+# Every check, in report order.  The point checks read the incidence map;
+# uniquetriple and ordinaryoracle read the direction buckets of
+# _Collinearity; exclusionbound reads each record alone.  ordinaryoracle
+# is opt-in only so that the default reports, and their bytes, stay put.
 CHECKS: dict[str, _Check] = {
     "no4collinear": _Check(_Engine._no_k_collinear, None, default=True),
     "uniquetriple": _Check(_Engine._unique_triple, _record_failure, default=True),
@@ -480,30 +517,11 @@ def verify_exclusion_bound(trace: Sequence[InsertionRecord]) -> VerificationRepo
     return _run(["exclusionbound"], trace=trace)[0]
 
 
-def _ordinary_pairs_exhaustive(ps: PointSet) -> list[OrdinaryPair]:
-    """All pairs with no third collinear point, by brute-force orientation."""
-    hom = ps.homogeneous()
-    n = ps.n
-    out: list[OrdinaryPair] = []
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            ordinary = True
-            for r in range(1, n + 1):
-                if r == i or r == j:
-                    continue
-                if _orient_hom(hom[i - 1], hom[j - 1], hom[r - 1]) == 0:
-                    ordinary = False
-                    break
-            if ordinary:
-                out.append(OrdinaryPair(i, j))
-    return out
-
-
 def verify_ordinary_oracle(
     ps: PointSet, selected: Sequence[int] | None
 ) -> VerificationReport:
-    """``selected`` equals the exhaustive minimum (smallest j, then i) over
-    pairs with no collinear third point; fails when no such pair exists."""
+    """``selected`` equals the minimum (smallest j, then i) over pairs with
+    no collinear third point; fails when no such pair exists."""
     if ps.n < 2:
         raise InputError(f"ordinary-pair check needs >= 2 points, got {ps.n}")
     sel: OrdinaryPair | None = None
@@ -515,28 +533,17 @@ def verify_ordinary_oracle(
         if not (1 <= si < sj <= ps.n):
             raise InputError(f"selected pair ({si}, {sj}) outside 1 <= i < j <= {ps.n}")
         sel = OrdinaryPair(si, sj)
-    ordinary = _ordinary_pairs_exhaustive(ps)
-    expected = min(ordinary, key=lambda p: p.key) if ordinary else None
-    passed = expected is not None and sel == expected
-    counterexample = None
-    if not passed:
-        counterexample = {
-            "selected": list(sel) if sel is not None else None,
-            "expected": list(expected) if expected is not None else None,
-        }
-    return VerificationReport(
-        "ordinaryoracle",
-        passed,
-        counterexample,
-        {"points": ps.n, "ordinary_pairs": len(ordinary)},
-    )
+    collinearity = _Collinearity(ps.homogeneous()).advance(ps.n)
+    counterexample = _selection_counterexample(sel, collinearity.least())
+    stats = {"points": ps.n, "ordinary_pairs": comb(ps.n, 2) - len(collinearity.blocked)}
+    return VerificationReport("ordinaryoracle", counterexample is None, counterexample, stats)
 
 
 def verify_trace_selections(
     ps: PointSet, trace: Sequence[InsertionRecord]
 ) -> VerificationReport:
-    """Every recorded pair equals the exhaustive ordinary-pair minimum for
-    its prefix.  One aggregated report over the whole trace."""
+    """Every recorded pair equals the ordinary-pair minimum for its prefix.
+    One aggregated report over the whole trace."""
     _check_trace_against_points(ps, trace)
     return _run(["ordinaryoracle"], ps.points, trace)[0]
 

@@ -112,12 +112,10 @@ class LineIncidenceMap:
         self._entries: dict[CanonicalLine, list[int]] = {}
 
     @classmethod
-    def from_point_set(cls, ps: PointSet | Sequence[Point]) -> LineIncidenceMap:
-        """Build the full map over all pairs of the set."""
-        if isinstance(ps, PointSet):
-            hom = ps.homogeneous()
-        else:
-            hom = [_homogeneous(Point(*p)) for p in ps]
+    def from_point_set(cls, ps: PointSet | Sequence[Sequence]) -> LineIncidenceMap:
+        """Build the full map over all pairs of the set; any other sequence
+        is read through `PointSet`, so repeated points are refused."""
+        hom = (ps if isinstance(ps, PointSet) else PointSet(ps)).homogeneous()
         lmap = cls()
         for n in range(2, len(hom) + 1):
             lmap.add_point(hom, n)

@@ -103,6 +103,19 @@ def oracle_max_collinear_size(ps):
     return best
 
 
+def oracle_least_ordinary_pair(points):
+    """Least pair in (j, i) order with no third collinear point, scanning
+    every pair against every point."""
+    n = len(points)
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            if all(orientation(points[i - 1], points[j - 1], points[r - 1])
+                   is not Orientation.COLLINEAR
+                   for r in range(1, n + 1) if r not in (i, j)):
+                return (i, j)
+    return None
+
+
 def random_rational_set(rng):
     n = rng.randint(2, 10)
     pool = rng.choice([3, 5, 12])  # small pools force collinear structure
@@ -178,6 +191,8 @@ def test_criterion_4_ordinary_pair_cross_validation():
         report = verify_trace_selections(state.point_set(), state.trace)
         assert report.passed, report.counterexample
         assert report.stats == {"steps": 37, "points": 40}
+        for rec in state.trace:
+            assert tuple(rec.pair) == oracle_least_ordinary_pair(state.points[: rec.n - 1])
 
 
 def test_criterion_5_analyzer_oracle_equivalence():

@@ -19,6 +19,7 @@ from blbc.errors import ConsistencyError, InputError
 from blbc.geometry import Orientation, Point, line_through, on_open_segment, orientation
 from blbc.verifier import (
     CHECK_ORDER,
+    CHECKS,
     VerificationReport,
     _lemma_line_failures,
     verify_construction_run,
@@ -505,13 +506,38 @@ def oracle_two_point_pairs(points):
     return {line for line in oracle_lines(points) if len(line) == 2}
 
 
+def oracle_ordinary_pairs(points):
+    """Pairs with no third collinear point, in (j, i) order, by scanning
+    every pair against every point."""
+    n = len(points)
+    return [(i, j) for j in range(2, n + 1) for i in range(1, j)
+            if all(orientation(points[i - 1], points[j - 1], points[r - 1])
+                   is not Orientation.COLLINEAR
+                   for r in range(1, n + 1) if r not in (i, j))]
+
+
+def oracle_selection_report(points, trace):
+    """The ordinaryoracle report over a trace, from the reference minimum
+    at each record's prefix."""
+    failures = []
+    for rec in trace:
+        ordinary = oracle_ordinary_pairs(points[: rec.n - 1])
+        expected = list(ordinary[0]) if ordinary else None
+        if list(rec.pair) != expected:
+            failures.append({"selected": list(rec.pair), "expected": expected, "n": rec.n})
+    return VerificationReport("ordinaryoracle", not failures,
+                              failures[0] if failures else None,
+                              {"steps": len(trace), "points": len(points)})
+
+
 def test_sweep_reports_equal_pure_checks():
     snapshots = []
     for state in generate_states(DEFAULT_SEED, 25):
         snapshots.append(
             (list(state.points), list(state.trace), set(state.pending))
         )
-    results, final = verify_construction_run(generate_states(DEFAULT_SEED, 25))
+    results, final = verify_construction_run(generate_states(DEFAULT_SEED, 25),
+                                             checks=list(CHECKS))
     assert len(results) == len(snapshots) == 23
     assert final.n == 25
     for (n, reports), (points, trace, pending) in zip(results, snapshots):
@@ -529,7 +555,35 @@ def test_sweep_reports_equal_pure_checks():
             triangle,
             VerificationReport("exclusionbound", not bound, bound[0] if bound else None,
                                {"records": len(trace)}),
+            oracle_selection_report(points, trace),
         ]
+
+
+ORACLE_SETS = {
+    "lattice_5x5": [(x, y) for y in range(5) for x in range(5)],
+    "five_on_a_line_plus_two": [(x, 0) for x in range(5)] + [(0, 1), (2, 3)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+def test_ordinaryoracle_matches_reference_at_every_prefix(name):
+    points = PointSet(ORACLE_SETS[name]).points
+    empty_prefixes = 0
+    for n in range(2, len(points) + 1):
+        ps = PointSet(points[:n])
+        ordinary = oracle_ordinary_pairs(points[:n])
+        empty_prefixes += not ordinary
+        expected = list(ordinary[0]) if ordinary else None
+        stats = {"points": n, "ordinary_pairs": len(ordinary)}
+        wrong = [[i, j] for i, j in combinations(range(1, n + 1), 2) if [i, j] != expected]
+        for selected in [None, expected] + wrong[-1:]:
+            passed = expected is not None and selected == expected
+            assert verify_ordinary_oracle(ps, selected) == VerificationReport(
+                "ordinaryoracle", passed,
+                None if passed else {"selected": selected, "expected": expected},
+                stats,
+            ), (n, selected)
+    assert empty_prefixes
 
 
 FAILING_SETS = {
@@ -650,6 +704,16 @@ def test_sweep_detects_record_point_mismatch():
 
     with pytest.raises(ConsistencyError):
         verify_construction_run(tampered())
+
+
+def test_sweep_rejects_repeated_point():
+    points = list(DEFAULT_SEED) + [DEFAULT_SEED[0]]
+    trace = [InsertionRecord(4, OrdinaryPair(1, 2), 0, F(1, 2), points[3])]
+    states = [SimpleNamespace(points=points[:n], trace=trace[: n - 3],
+                              pending=oracle_two_point_pairs(points[:n]) if n == 3 else set())
+              for n in (3, 4)]
+    with pytest.raises(ConsistencyError, match="points 1 and 4 coincide"):
+        verify_construction_run(iter(states), checks=["no4collinear"])
 
 
 def test_report_equality_and_determinism():

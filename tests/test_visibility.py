@@ -126,6 +126,14 @@ def test_add_point_returns_the_lines_it_joined():
     assert dict(lmap.entries()) == dict(LineIncidenceMap.from_point_set(ps).entries())
 
 
+def test_from_point_set_reads_raw_sequences_through_point_set():
+    raw = [Point(Fraction(0), Fraction(0)), (1, 0), (Fraction(1, 2), 3)]
+    assert (dict(LineIncidenceMap.from_point_set(raw).entries())
+            == dict(LineIncidenceMap.from_point_set(PointSet(raw)).entries()))
+    with pytest.raises(DuplicatePointError, match="points 1 and 2"):
+        LineIncidenceMap.from_point_set([Point(0, 0), Point(0, 0)])
+
+
 def test_max_entry_breaks_ties_to_smallest_indices():
     # two 3-point lines: y=0 carries {1,2,3}, x=0 carries {1,4,5}
     ps = PointSet([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)])
