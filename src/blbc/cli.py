@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .construction import DEFAULT_SEED, generate
-from .errors import InputError
+from .errors import FormatError, InputError
 from .fileformat import (
     PointFile,
     parse_point_file,
@@ -77,7 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(path, f"not UTF-8: {exc.reason} at byte {exc.start}") from exc
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -13,7 +13,6 @@ point n, so a fresh parameter always exists.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,7 +85,7 @@ class ConstructionState:
     line carries two points; ``trace`` records every insertion so far.
     """
 
-    __slots__ = ("points", "lines", "pending", "trace", "_hom", "_heap")
+    __slots__ = ("points", "lines", "pending", "trace", "_hom", "_next")
 
     def __init__(
         self,
@@ -101,8 +100,10 @@ class ConstructionState:
         self.pending = pending
         self.trace = trace
         self._hom = hom
-        self._heap: list[tuple[int, int]] = [p.key for p in pending]
-        heapq.heapify(self._heap)
+        # (j, i) of the least pair that may be pending; it only moves
+        # forward, as pairs leave pending for good and new pairs sort
+        # after old ones
+        self._next = (2, 1)
 
     @property
     def n(self) -> int:
@@ -162,25 +163,25 @@ def state_from_points(points: Iterable[Sequence]) -> ConstructionState:
 
 
 def select_ordinary_pair(state: ConstructionState) -> OrdinaryPair:
-    """The pending pair minimising j, then i.  Does not modify the state."""
+    """The pending pair minimising j, then i.  Leaves the points, lines and
+    pending set unchanged."""
     if not state.pending:
         raise ImpossibleStateError("no pending pair to select")
-    heap = state._heap
-    while heap:
-        j, i = heap[0]
-        pair = OrdinaryPair(i, j)
-        if pair in state.pending:
-            entry = state.lines.get(
-                _line_from_hom(state._hom[i - 1], state._hom[j - 1])
-            )
-            if entry is None or len(entry) != 2:
-                raise ImpossibleStateError(
-                    f"pending pair {tuple(pair)} lies on a line with "
-                    f"{0 if entry is None else len(entry)} recorded points"
-                )
-            return pair
-        heapq.heappop(heap)  # stale entry for a pair no longer pending
-    raise ImpossibleStateError("pending set and selection heap disagree")
+    j, i = state._next
+    while (i, j) not in state.pending:
+        i += 1
+        if i == j:
+            j, i = j + 1, 1
+            if j > len(state.points):
+                raise ImpossibleStateError("pending set and selection order disagree")
+    state._next = (j, i)
+    entry = state.lines.get(_line_from_hom(state._hom[i - 1], state._hom[j - 1]))
+    if entry is None or len(entry) != 2:
+        raise ImpossibleStateError(
+            f"pending pair {(i, j)} lies on a line with "
+            f"{0 if entry is None else len(entry)} recorded points"
+        )
+    return OrdinaryPair(i, j)
 
 
 def _as_pending_pair(state: ConstructionState, pair: Sequence[int]) -> OrdinaryPair:
@@ -275,12 +276,7 @@ def insert_point(
             f"not just {tuple(base)}; parameter {t} should have been excluded"
         )
     state.pending.discard(pair)
-    for m in range(1, n):
-        if m == i or m == j:
-            continue
-        new_pair = OrdinaryPair(m, n)
-        state.pending.add(new_pair)
-        heapq.heappush(state._heap, new_pair.key)
+    state.pending.update(OrdinaryPair(m, n) for m in range(1, n) if m != i and m != j)
 
     record = InsertionRecord(
         n=n, pair=pair, excluded_count=len(excluded), chosen_t=t, point=new_point

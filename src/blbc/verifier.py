@@ -18,11 +18,10 @@ with a machine-readable counterexample on failure:
 
 `CHECKS` names them all and says which need a trace and which run by
 default.  One engine computes every report: it is fed points one at a
-time, and each insertion record after its point.  The point checks read
-the engine's own `LineIncidenceMap`, grown from the raw coordinates;
-``uniquetriple`` and ``ordinaryoracle`` read `_Collinearity`, which
-groups the earlier points by exact direction from each new one and uses
-no incidence map; ``exclusionbound`` reads each record alone.
+time, and each insertion record after its point.  Every check but
+``exclusionbound``, which reads each record alone, reads one pass,
+`_Lines`, that groups the earlier points by exact direction from each
+new one; no check shares code with the construction's incidence map.
 `verify_construction_run` reports after every point of a run; the
 per-set functions and `verify_points` feed a whole set and report once,
 so sweep and one-shot reports are identical by construction.  The
@@ -39,8 +38,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .construction import ConstructionState, InsertionRecord, OrdinaryPair
 from .errors import ConsistencyError, InputError
-from .geometry import CanonicalLine, Point, _homogeneous, on_open_segment
-from .visibility import LineIncidenceMap, PointSet, _sorted_along_line
+from .geometry import CanonicalLine, Point, _homogeneous, _line_from_hom, on_open_segment
+from .visibility import PointSet, _sorted_along_line
 
 
 @dataclass(frozen=True)
@@ -110,37 +109,45 @@ def _h_triangle_violations(h_edges: Iterable[tuple[int, int]]) -> list[tuple[int
     return violations
 
 
-class _Collinearity:
-    """Which pairs of the points fed so far have a third point on their line.
+class _Lines:
+    """Every line spanned by the points fed so far, from exact directions.
 
     Each new point n groups the earlier points by exact direction from it,
-    using no incidence map.  The pairs within a group are collinear with n
-    (``through``); every pair inside a group plus n is ``blocked``.
-    ``before`` is the least unblocked pair, in (j, i) order, over the
-    points placed before n: the pair the construction must have selected.
+    using no incidence map.  A lone point r starts the two-point line
+    {r, n}; a group of two turns its pair's line into a three-point one;
+    a larger group is a line of ``multi`` that n joins.  ``multi`` maps
+    each line of three or more points to its ascending members, keyed by
+    its two least indices; ``touched`` holds the keys changed since the
+    caller last cleared it.  ``through`` lists the groups of the last
+    point fed: the earlier points sharing a line with it.  ``before`` is
+    the least two-point pair, in (j, i) order, over the points placed
+    before the last one: the pair the construction must have selected.
     """
 
     def __init__(self, hom: Sequence[tuple[int, int, int]]) -> None:
         self.hom = hom  # read as it grows; its points must be pairwise distinct
         self.n = 0
-        self.blocked: set[tuple[int, int]] = set()
-        self.through: list[tuple[int, int]] = []
+        self.two_point: set[tuple[int, int]] = set()
+        self.multi: dict[tuple[int, int], list[int]] = {}
+        self.touched: set[tuple[int, int]] = set()
+        self.through: list[list[int]] = []
         self.before: OrdinaryPair | None = None
-        # (j, i) of the least pair not known to be blocked; it only moves
-        # forward, as blocked only grows and new pairs sort after old ones
+        # (j, i) of the least pair that may be two-point; it only moves
+        # forward, as pairs leave two_point for good and new pairs sort
+        # after old ones
         self._next = (2, 1)
 
     def least(self) -> OrdinaryPair | None:
-        """Least unblocked pair in (j, i) order, or None."""
+        """Least two-point pair in (j, i) order, or None."""
         j, i = self._next
-        while j <= self.n and (i, j) in self.blocked:
+        while j <= self.n and (i, j) not in self.two_point:
             i += 1
             if i == j:
                 j, i = j + 1, 1
         self._next = (j, i)
         return OrdinaryPair(i, j) if j <= self.n else None
 
-    def advance(self, n: int) -> _Collinearity:
+    def advance(self, n: int) -> _Lines:
         """Feed points up to n; ``through`` and ``before`` then describe n."""
         for m in range(self.n + 1, n + 1):
             self.before = self.least()
@@ -157,26 +164,33 @@ class _Collinearity:
                 buckets.setdefault((dx // g, dy // g), []).append(r)
             self.through = []
             for group in buckets.values():
-                if len(group) > 1:
-                    self.through.extend(combinations(group, 2))
-                    self.blocked.update(combinations(group + [m], 2))
-            self.through.sort()
+                if len(group) == 1:
+                    self.two_point.add((group[0], m))
+                    continue
+                self.through.append(group)
+                key = (group[0], group[1])
+                if len(group) == 2:
+                    self.two_point.discard(key)
+                    self.multi[key] = [*group, m]
+                else:
+                    self.multi[key].append(m)
+                self.touched.add(key)
         return self
 
 
 def _record_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
     """Counterexample unless point rec.n is collinear with exactly its
     recorded pair of earlier points, strictly between the two; else None."""
-    through = engine.collinearity.advance(rec.n).through
+    through = engine.lines.advance(rec.n).through
     i, j = rec.pair
     points = engine.points
     between = on_open_segment(points[rec.n - 1], points[i - 1], points[j - 1])
-    if through == [(i, j)] and between:
+    if through == [[i, j]] and between:
         return None
     return {
         "n": rec.n,
         "expected_pair": [i, j],
-        "collinear_pairs": [list(p) for p in through],
+        "collinear_pairs": sorted(list(p) for g in through for p in combinations(g, 2)),
         "on_segment": between,
     }
 
@@ -193,7 +207,7 @@ def _bound_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
 def _selection_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
     """Counterexample when the record's pair is not the least ordinary
     pair over the points placed before it, else None."""
-    failure = _selection_counterexample(rec.pair, engine.collinearity.advance(rec.n).before)
+    failure = _selection_counterexample(rec.pair, engine.lines.advance(rec.n).before)
     return failure and {**failure, "n": rec.n}
 
 
@@ -251,12 +265,12 @@ def _normalize_pending(pending: Iterable[Sequence[int]], n: int) -> set[tuple[in
 class _Engine:
     """Fed points one at a time, and each insertion record after its point.
 
-    The incidence map is grown from the raw coordinates, never from the
-    construction's bookkeeping, and lazily: a point check first brings the
-    map up to the points fed and refreshes the per-line state (order along
-    the line, lemma failures) of the lines touched since the last report.
-    Records are judged on arrival by the selected trace checks; those that
-    ask which pairs are collinear advance ``collinearity`` to the record.
+    Every check reads one `_Lines` pass over the raw coordinates, never
+    the construction's bookkeeping.  A point check first advances it to
+    the points fed and refreshes the per-line state (the line, order
+    along it, lemma failures) of the lines touched since the last report.
+    Records are judged on arrival by the selected trace checks; those
+    that ask which pairs are collinear advance the pass to the record.
     ``pending=None`` stands for the pending set of a valid run: exactly
     the pairs whose line carries no third point.
     """
@@ -273,15 +287,12 @@ class _Engine:
         self.points: list[Point] = []
         self.hom: list[tuple[int, int, int]] = []
         self._index: dict[tuple[int, int, int], int] = {}  # hom -> 1-based index
-        self.collinearity = _Collinearity(self.hom)
+        self.lines = _Lines(self.hom)
         self.records = 0
         self.failures: dict[str, dict] = {}  # first failure per trace check
-        self.lines = LineIncidenceMap()
-        self._mapped = 0  # points recorded in self.lines so far
-        self._two_point: set[tuple[int, int]] | None = None  # kept once asked for
-        # lines carrying >= 3 points: indices in order along the line, and
-        # the line's lemma failures
-        self._multi: dict[CanonicalLine, tuple[list[int], list[dict]]] = {}
+        # per line of >= 3 points, by the key of lines.multi: the line,
+        # its indices in order along it, and its lemma failures
+        self._multi: dict[tuple[int, int], tuple[CanonicalLine, list[int], list[dict]]] = {}
 
     def add_point(self, p: Point) -> None:
         h, n = _homogeneous(p), len(self.hom) + 1
@@ -300,53 +311,38 @@ class _Engine:
                 if failure is not None:
                     self.failures[name] = failure
 
-    def two_point_pairs(self) -> set[tuple[int, int]]:
-        """Index pairs whose spanning line carries no third point."""
-        self._grow()
-        if self._two_point is None:
-            self._two_point = self.lines.two_point_pairs()
-        return self._two_point
-
     def report(self, name: str) -> VerificationReport:
         return CHECKS[name].report(self)
 
-    def _grow(self) -> None:
-        touched: set[CanonicalLine] = set()
-        while self._mapped < len(self.hom):
-            self._mapped += 1
-            n = self._mapped
-            joined = self.lines.add_point(self.hom, n)
-            touched.update(joined)
-            if self._two_point is None:
-                continue
-            on_joined: set[int] = set()
-            for line in joined:
-                members = self.lines.get(line)
-                on_joined.update(members)
-                if len(members) == 3:
-                    self._two_point.discard(members[:2])
-            self._two_point.update((m, n) for m in range(1, n) if m not in on_joined)
-        for line in touched:
-            order = _sorted_along_line(self.lines.get(line), self.points, line)
-            self._multi[line] = (order, _lemma_line_failures(line, order, self.points))
+    def grown(self) -> _Lines:
+        """The line pass over every point fed, per-line state refreshed."""
+        lines = self.lines.advance(len(self.hom))
+        for key in lines.touched:
+            line = _line_from_hom(self.hom[key[0] - 1], self.hom[key[1] - 1])
+            order = _sorted_along_line(lines.multi[key], self.points, line)
+            self._multi[key] = (line, order, _lemma_line_failures(line, order, self.points))
+        lines.touched.clear()
+        return lines
 
     def _no_k_collinear(self) -> VerificationReport:
-        self._grow()
+        lines = self.grown()
         n = len(self.points)
-        big = [(sorted(o), line) for line, (o, _) in self._multi.items() if len(o) >= self.k]
+        big = [(members, self._multi[key][0])
+               for key, members in lines.multi.items() if len(members) >= self.k]
         worst = min(big, default=None)
-        max_size = max((len(o) for o, _ in self._multi.values()), default=min(n, 2))
+        max_size = max(map(len, lines.multi.values()), default=min(n, 2))
         return VerificationReport(
             f"no{self.k}collinear",
             worst is None,
-            None if worst is None else {"indices": worst[0], "line": worst[1]._asdict()},
-            {"points": n, "lines": len(self.lines), "max_collinear": max_size},
+            None if worst is None else {"indices": list(worst[0]), "line": worst[1]._asdict()},
+            {"points": n, "lines": len(lines.two_point) + len(lines.multi),
+             "max_collinear": max_size},
         )
 
     def _visible_pair_lemma(self) -> VerificationReport:
-        self._grow()
-        qualifying = sum(len(order) - 1 for order, _ in self._multi.values())
-        failures = [f for _, fails in self._multi.values() for f in fails]
+        self.grown()
+        qualifying = sum(len(order) - 1 for _, order, _ in self._multi.values())
+        failures = [f for _, _, fails in self._multi.values() for f in fails]
         return VerificationReport(
             "visiblepairlemma",
             not failures,
@@ -357,10 +353,10 @@ class _Engine:
     def _triangle_pending(self) -> VerificationReport:
         # visible edges: each two-point pair, and consecutive pairs along
         # the longer lines; a two-point pair is pending in a valid run
-        two_point = self.two_point_pairs()  # grows the map first
+        two_point = self.grown().two_point
         multi = [
             (u, v) if u < v else (v, u)
-            for order, _ in self._multi.values()
+            for _, order, _ in self._multi.values()
             for u, v in zip(order, order[1:])
         ]
         if self.pending is None:
@@ -410,10 +406,10 @@ class _Check(NamedTuple):
         return self.judge is not None
 
 
-# Every check, in report order.  The point checks read the incidence map;
-# uniquetriple and ordinaryoracle read the direction buckets of
-# _Collinearity; exclusionbound reads each record alone.  ordinaryoracle
-# is opt-in only so that the default reports, and their bytes, stay put.
+# Every check, in report order.  All but exclusionbound, which reads each
+# record alone, read the one direction-bucket pass of _Lines.
+# ordinaryoracle is opt-in only so that the default reports, and their
+# bytes, stay put.
 CHECKS: dict[str, _Check] = {
     "no4collinear": _Check(_Engine._no_k_collinear, None, default=True),
     "uniquetriple": _Check(_Engine._unique_triple, _record_failure, default=True),
@@ -533,9 +529,9 @@ def verify_ordinary_oracle(
         if not (1 <= si < sj <= ps.n):
             raise InputError(f"selected pair ({si}, {sj}) outside 1 <= i < j <= {ps.n}")
         sel = OrdinaryPair(si, sj)
-    collinearity = _Collinearity(ps.homogeneous()).advance(ps.n)
-    counterexample = _selection_counterexample(sel, collinearity.least())
-    stats = {"points": ps.n, "ordinary_pairs": comb(ps.n, 2) - len(collinearity.blocked)}
+    lines = _Lines(ps.homogeneous()).advance(ps.n)
+    counterexample = _selection_counterexample(sel, lines.least())
+    stats = {"points": ps.n, "ordinary_pairs": len(lines.two_point)}
     return VerificationReport("ordinaryoracle", counterexample is None, counterexample, stats)
 
 
@@ -592,7 +588,7 @@ def verify_construction_run(
             engine.add_record(state.trace[-1])
 
         # After this check the engine's default pending set is the state's.
-        two_point = engine.two_point_pairs()
+        two_point = engine.grown().two_point
         if state.pending != two_point:
             extra = sorted(tuple(p) for p in state.pending - two_point)
             missing = sorted(two_point - state.pending)

@@ -259,6 +259,23 @@ def test_missing_file_is_io_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--points", "BAD"],
+    ["verify", "--points", "GOOD", "--trace", "BAD"],
+    ["analyze", "--points", "BAD", "--k", "4", "--l", "4"],
+    ["render", "--points", "BAD", "--out", "OUT"],
+    ["generate", "--count", "5", "--out", "OUT", "--seed-file", "BAD"],
+])
+def test_non_utf8_file_is_format_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff")
+    good = write_points(tmp_path / "good.json", DEFAULT_SEED)
+    files = {"BAD": str(bad), "GOOD": good, "OUT": str(tmp_path / "out")}
+    assert main([files.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8: invalid start byte at byte 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 # analyze
 
 

@@ -144,6 +144,21 @@ def test_select_matches_direct_minimum_at_every_step():
     for state in generate_states(DEFAULT_SEED, 25):
         expected = min(state.pending, key=lambda p: p.key)
         assert select_ordinary_pair(state) == expected
+    # inserting on the largest pending pair leaves the least one pending
+    state = init_state()
+    while state.n < 25:
+        assert select_ordinary_pair(state) == min(state.pending, key=lambda p: p.key)
+        pair = max(state.pending, key=lambda p: p.key)
+        insert_point(state, pair, choose_parameter(excluded_parameters(state, pair)))
+    assert select_ordinary_pair(state) == min(state.pending, key=lambda p: p.key)
+
+
+def test_select_refuses_a_pending_set_behind_the_selection_order():
+    state = generate(DEFAULT_SEED, 8)
+    select_ordinary_pair(state)
+    state.pending = {OrdinaryPair(1, 2)}
+    with pytest.raises(ImpossibleStateError, match="selection order disagree"):
+        select_ordinary_pair(state)
 
 
 # excluded parameters and choice

@@ -26,12 +26,13 @@ from blbc.verifier import (
     verify_exclusion_bound,
     verify_no_k_collinear,
     verify_ordinary_oracle,
+    verify_points,
     verify_trace_selections,
     verify_triangle_pending,
     verify_unique_triple_at_insertion,
     verify_visible_pair_lemma,
 )
-from blbc.visibility import PointSet, build_visibility_graph_naive, is_visible
+from blbc.visibility import LineIncidenceMap, PointSet, build_visibility_graph_naive, is_visible
 
 F = Fraction
 
@@ -562,6 +563,7 @@ def test_sweep_reports_equal_pure_checks():
 ORACLE_SETS = {
     "lattice_5x5": [(x, y) for y in range(5) for x in range(5)],
     "five_on_a_line_plus_two": [(x, 0) for x in range(5)] + [(0, 1), (2, 3)],
+    "thirty_on_a_line_plus_two": [(x, 0) for x in range(30)] + [(0, 1), (2, 3)],
 }
 
 
@@ -593,6 +595,7 @@ FAILING_SETS = {
     # the pending two-point pairs miss every edge of the visible triangle
     # (1, 2, 5): its edges lie on a row, a column and a diagonal
     "unpended_triangle": [(x, y) for y in range(3) for x in range(3)],
+    "thirty_on_a_line_plus_two": [(x, 0) for x in range(30)] + [(0, 1), (2, 3)],
 }
 
 
@@ -613,7 +616,9 @@ def test_failing_sets_match_oracles_one_shot_and_sweep(name):
     pending = oracle_two_point_pairs(ps.points)
     no4, lemma, triangle, failures = oracle_point_reports(ps.points, pending)
     reasons = {f["reason"] for f in failures}
-    assert name in reasons or (name == "unpended_triangle" and not triangle.passed)
+    assert (name in reasons
+            or (name == "unpended_triangle" and not triangle.passed)
+            or (name == "thirty_on_a_line_plus_two" and "four_collinear" in reasons))
     one_shot = [verify_no_k_collinear(ps), verify_visible_pair_lemma(ps),
                 verify_triangle_pending(ps, pending)]
     assert one_shot == [no4, lemma, triangle]
@@ -622,6 +627,25 @@ def test_failing_sets_match_oracles_one_shot_and_sweep(name):
         checks=["no4collinear", "visiblepairlemma", "trianglepending"],
     )
     assert results[-1] == (ps.n, one_shot)
+
+
+def test_checks_do_not_use_the_incidence_map(monkeypatch):
+    snapshots = [SimpleNamespace(points=list(s.points), trace=list(s.trace),
+                                 pending=set(s.pending))
+                 for s in generate_states(DEFAULT_SEED, 30)]
+    ps, trace = PointSet(snapshots[-1].points), snapshots[-1].trace
+    expected = verify_points(ps, trace, list(CHECKS))
+    expected_sweep, _ = verify_construction_run(iter(snapshots), checks=list(CHECKS))
+
+    def refuse(*args):
+        raise AssertionError("a check grew a LineIncidenceMap")
+
+    monkeypatch.setattr(LineIncidenceMap, "add_point", refuse)
+    assert verify_points(ps, trace, list(CHECKS)) == expected
+    assert all(r.passed for r in expected)
+    sweep, _ = verify_construction_run(iter(snapshots), checks=list(CHECKS))
+    assert sweep == expected_sweep
+    assert [n for n, _ in sweep] == list(range(3, 31))
 
 
 def test_trianglepending_missing_edge_matches_oracle():
