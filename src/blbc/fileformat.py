@@ -37,9 +37,21 @@ def _dumps(doc: dict) -> str:
 
 def _load_json(text: str) -> object:
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except FormatError:  # a repeated key; FormatError is a ValueError too
+        raise
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep
         raise FormatError("json", f"not valid JSON: {exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """An object's members, refusing a key given twice at any level."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError("json", f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _require_object(value: object, field_name: str) -> dict:

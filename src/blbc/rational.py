@@ -30,8 +30,11 @@ def parse_rational(text: str) -> Fraction:
         )
     if match.group(1) == "-0":
         raise RationalFormatError(f"{text!r} writes zero with a sign")
-    num = int(match.group(1))
-    den = int(match.group(2)) if match.group(2) else 1
+    try:
+        num = int(match.group(1))
+        den = int(match.group(2)) if match.group(2) else 1
+    except ValueError as exc:  # over the interpreter's integer digit limit
+        raise RationalFormatError(f"rational of {len(text)} characters: {exc}") from None
     value = Fraction(num, den)
     if value.numerator != num or value.denominator != den:
         raise RationalFormatError(f"{text!r} is not in lowest terms")

@@ -12,12 +12,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .errors import InputError
-from .visibility import (
-    LineIncidenceMap,
-    PointSet,
-    _sorted_along_line,
-    build_visibility_graph,
-)
+from .visibility import PointSet, _Lines, build_visibility_graph
 
 EDGE_MODES = ("visibility", "collinear", "none")
 
@@ -46,11 +41,12 @@ def _segments(ps: PointSet, edges: str) -> list[tuple[Fraction, Fraction, Fracti
             a, b = ps.point(i), ps.point(j)
             segs.append((a.x, a.y, b.x, b.y))
         return segs
-    # collinear: one segment per line carrying >= 3 points, across its extremes
-    lmap = LineIncidenceMap.from_point_set(ps)
-    for line, lst in sorted((line, lst) for line, lst in lmap.items() if len(lst) >= 3):
-        ordered = _sorted_along_line(lst, ps.points, line)
-        a, b = ps.point(ordered[0]), ps.point(ordered[-1])
+    # collinear: one segment per line carrying >= 3 points, across its
+    # extremes, in line order
+    lines = _Lines(ps.homogeneous())
+    lines.order(ps.points)
+    for _, order in sorted(lines.along.values()):
+        a, b = ps.point(order[0]), ps.point(order[-1])
         segs.append((a.x, a.y, b.x, b.y))
     return segs
 

@@ -19,9 +19,10 @@ with a machine-readable counterexample on failure:
 `CHECKS` names them all and says which need a trace and which run by
 default.  One engine computes every report: it is fed points one at a
 time, and each insertion record after its point.  Every check but
-``exclusionbound``, which reads each record alone, reads one pass,
-`_Lines`, that groups the earlier points by exact direction from each
-new one; no check shares code with the construction's incidence map.
+``exclusionbound``, which reads each record alone, reads the line pass
+`visibility._Lines`, which groups the earlier points by exact direction
+from each new one; the analyzer and renderer read the same pass, and no
+check shares code with the construction's incidence map.
 `verify_construction_run` reports after every point of a run; the
 per-set functions and `verify_points` feed a whole set and report once,
 so sweep and one-shot reports are identical by construction.  The
@@ -33,13 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import comb, gcd
+from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .construction import ConstructionState, InsertionRecord, OrdinaryPair
+from .construction import ConstructionState, InsertionRecord
 from .errors import ConsistencyError, InputError
-from .geometry import CanonicalLine, Point, _homogeneous, _line_from_hom, on_open_segment
-from .visibility import PointSet, _sorted_along_line
+from .geometry import Point, _homogeneous, on_open_segment
+from .visibility import PointSet, _Lines
 
 
 @dataclass(frozen=True)
@@ -63,21 +64,19 @@ class VerificationReport:
 # per-line and per-record judgements
 
 
-def _lemma_line_failures(
-    line: CanonicalLine, members: Sequence[int], points: Sequence[Point]
-) -> list[dict]:
-    """Failures of the visible-pair conditions on one line with >= 3 points.
+def _lemma_line_failures(order: Sequence[int], points: Sequence[Point]) -> list[dict]:
+    """Failures of the visible-pair conditions on one line with >= 3 points,
+    given in ``order`` along it.
 
     The visible pairs of the line are the consecutive ones along it.  For
     each such pair (i, k) with i < k the line must carry exactly one other
     point i', with i' < k and point k strictly between points i and i'.
     """
-    ordered = _sorted_along_line(members, points, line)
     failures: list[dict] = []
-    for u, v in zip(ordered, ordered[1:]):
+    for u, v in zip(order, order[1:]):
         i, k = (u, v) if u < v else (v, u)
-        third = next(m for m in members if m != u and m != v)
-        if len(members) > 3:
+        third = next(m for m in order if m != u and m != v)
+        if len(order) > 3:
             reason = "four_collinear"
         elif not third < k:
             reason = "third_not_earlier"
@@ -85,7 +84,7 @@ def _lemma_line_failures(
             reason = "not_between"
         else:
             continue
-        failures.append({"pair": [i, k], "line_points": sorted(members), "reason": reason})
+        failures.append({"pair": [i, k], "line_points": sorted(order), "reason": reason})
     return failures
 
 
@@ -107,75 +106,6 @@ def _h_triangle_violations(h_edges: Iterable[tuple[int, int]]) -> list[tuple[int
             if k > j:
                 violations.append((i, j, k))
     return violations
-
-
-class _Lines:
-    """Every line spanned by the points fed so far, from exact directions.
-
-    Each new point n groups the earlier points by exact direction from it,
-    using no incidence map.  A lone point r starts the two-point line
-    {r, n}; a group of two turns its pair's line into a three-point one;
-    a larger group is a line of ``multi`` that n joins.  ``multi`` maps
-    each line of three or more points to its ascending members, keyed by
-    its two least indices; ``touched`` holds the keys changed since the
-    caller last cleared it.  ``through`` lists the groups of the last
-    point fed: the earlier points sharing a line with it.  ``before`` is
-    the least two-point pair, in (j, i) order, over the points placed
-    before the last one: the pair the construction must have selected.
-    """
-
-    def __init__(self, hom: Sequence[tuple[int, int, int]]) -> None:
-        self.hom = hom  # read as it grows; its points must be pairwise distinct
-        self.n = 0
-        self.two_point: set[tuple[int, int]] = set()
-        self.multi: dict[tuple[int, int], list[int]] = {}
-        self.touched: set[tuple[int, int]] = set()
-        self.through: list[list[int]] = []
-        self.before: OrdinaryPair | None = None
-        # (j, i) of the least pair that may be two-point; it only moves
-        # forward, as pairs leave two_point for good and new pairs sort
-        # after old ones
-        self._next = (2, 1)
-
-    def least(self) -> OrdinaryPair | None:
-        """Least two-point pair in (j, i) order, or None."""
-        j, i = self._next
-        while j <= self.n and (i, j) not in self.two_point:
-            i += 1
-            if i == j:
-                j, i = j + 1, 1
-        self._next = (j, i)
-        return OrdinaryPair(i, j) if j <= self.n else None
-
-    def advance(self, n: int) -> _Lines:
-        """Feed points up to n; ``through`` and ``before`` then describe n."""
-        for m in range(self.n + 1, n + 1):
-            self.before = self.least()
-            self.n = m
-            hx, hy, hw = self.hom[m - 1]
-            buckets: dict[tuple[int, int], list[int]] = {}
-            for r in range(1, m):
-                rx, ry, rw = self.hom[r - 1]
-                dx = rx * hw - hx * rw
-                dy = ry * hw - hy * rw
-                g = gcd(dx, dy)
-                if dx < 0 or (dx == 0 and dy < 0):
-                    g = -g
-                buckets.setdefault((dx // g, dy // g), []).append(r)
-            self.through = []
-            for group in buckets.values():
-                if len(group) == 1:
-                    self.two_point.add((group[0], m))
-                    continue
-                self.through.append(group)
-                key = (group[0], group[1])
-                if len(group) == 2:
-                    self.two_point.discard(key)
-                    self.multi[key] = [*group, m]
-                else:
-                    self.multi[key].append(m)
-                self.touched.add(key)
-        return self
 
 
 def _record_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
@@ -212,7 +142,7 @@ def _selection_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
 
 
 def _selection_counterexample(
-    selected: OrdinaryPair | None, expected: OrdinaryPair | None
+    selected: tuple[int, int] | None, expected: tuple[int, int] | None
 ) -> dict | None:
     """None when ``selected`` is the least ordinary pair ``expected``."""
     if selected is not None and selected == expected:
@@ -266,9 +196,9 @@ class _Engine:
     """Fed points one at a time, and each insertion record after its point.
 
     Every check reads one `_Lines` pass over the raw coordinates, never
-    the construction's bookkeeping.  A point check first advances it to
-    the points fed and refreshes the per-line state (the line, order
-    along it, lemma failures) of the lines touched since the last report.
+    the construction's bookkeeping.  A point check first has it order the
+    lines touched since the last report, and refreshes their lemma
+    failures.
     Records are judged on arrival by the selected trace checks; those
     that ask which pairs are collinear advance the pass to the record.
     ``pending=None`` stands for the pending set of a valid run: exactly
@@ -290,9 +220,8 @@ class _Engine:
         self.lines = _Lines(self.hom)
         self.records = 0
         self.failures: dict[str, dict] = {}  # first failure per trace check
-        # per line of >= 3 points, by the key of lines.multi: the line,
-        # its indices in order along it, and its lemma failures
-        self._multi: dict[tuple[int, int], tuple[CanonicalLine, list[int], list[dict]]] = {}
+        # lemma failures per line of >= 3 points, by the key of lines.multi
+        self._lemma: dict[tuple[int, int], list[dict]] = {}
 
     def add_point(self, p: Point) -> None:
         h, n = _homogeneous(p), len(self.hom) + 1
@@ -315,19 +244,16 @@ class _Engine:
         return CHECKS[name].report(self)
 
     def grown(self) -> _Lines:
-        """The line pass over every point fed, per-line state refreshed."""
-        lines = self.lines.advance(len(self.hom))
-        for key in lines.touched:
-            line = _line_from_hom(self.hom[key[0] - 1], self.hom[key[1] - 1])
-            order = _sorted_along_line(lines.multi[key], self.points, line)
-            self._multi[key] = (line, order, _lemma_line_failures(line, order, self.points))
-        lines.touched.clear()
+        """The line pass over every point fed, lemma failures refreshed."""
+        lines = self.lines
+        for key in lines.order(self.points):
+            self._lemma[key] = _lemma_line_failures(lines.along[key][1], self.points)
         return lines
 
     def _no_k_collinear(self) -> VerificationReport:
         lines = self.grown()
         n = len(self.points)
-        big = [(members, self._multi[key][0])
+        big = [(members, lines.along[key][0])
                for key, members in lines.multi.items() if len(members) >= self.k]
         worst = min(big, default=None)
         max_size = max(map(len, lines.multi.values()), default=min(n, 2))
@@ -340,9 +266,8 @@ class _Engine:
         )
 
     def _visible_pair_lemma(self) -> VerificationReport:
-        self.grown()
-        qualifying = sum(len(order) - 1 for _, order, _ in self._multi.values())
-        failures = [f for _, _, fails in self._multi.values() for f in fails]
+        qualifying = sum(len(order) - 1 for _, order in self.grown().along.values())
+        failures = [f for fails in self._lemma.values() for f in fails]
         return VerificationReport(
             "visiblepairlemma",
             not failures,
@@ -353,12 +278,8 @@ class _Engine:
     def _triangle_pending(self) -> VerificationReport:
         # visible edges: each two-point pair, and consecutive pairs along
         # the longer lines; a two-point pair is pending in a valid run
-        two_point = self.grown().two_point
-        multi = [
-            (u, v) if u < v else (v, u)
-            for _, order, _ in self._multi.values()
-            for u, v in zip(order, order[1:])
-        ]
+        lines = self.grown()
+        two_point, multi = lines.two_point, lines.consecutive()
         if self.pending is None:
             candidates = multi
         else:
@@ -520,7 +441,7 @@ def verify_ordinary_oracle(
     no collinear third point; fails when no such pair exists."""
     if ps.n < 2:
         raise InputError(f"ordinary-pair check needs >= 2 points, got {ps.n}")
-    sel: OrdinaryPair | None = None
+    sel: tuple[int, int] | None = None
     if selected is not None:
         try:
             si, sj = selected
@@ -528,7 +449,7 @@ def verify_ordinary_oracle(
             raise InputError(f"selected pair {selected!r} is not an index pair") from exc
         if not (1 <= si < sj <= ps.n):
             raise InputError(f"selected pair ({si}, {sj}) outside 1 <= i < j <= {ps.n}")
-        sel = OrdinaryPair(si, sj)
+        sel = (si, sj)
     lines = _Lines(ps.homogeneous()).advance(ps.n)
     counterexample = _selection_counterexample(sel, lines.least())
     stats = {"points": ps.n, "ordinary_pairs": len(lines.two_point)}

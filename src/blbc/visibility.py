@@ -1,12 +1,15 @@
-"""Point sets, line incidence structure, and the visibility graph.
+"""Point sets, the lines they span, and the visibility graph.
 
 Two points of a set are mutually visible when no third point of the set
 lies strictly inside the segment between them.  Any blocker is collinear
 with the pair, so visibility is decided entirely by the arrangement of
-lines spanned by the set; `LineIncidenceMap` records that arrangement and
-the graph builder reads visible pairs off it as consecutive points along
-each line.  A direct per-pair reference implementation is kept alongside
-as the oracle.
+lines spanned by the set.  `_Lines` finds that arrangement for any
+finished set by grouping earlier points by exact direction from each new
+one; the verifier, the analyzer and the renderer all read it, the visible
+pairs being the neighbours along each line.  `LineIncidenceMap` is the
+construction's own table of the same lines, keyed by their coefficients,
+which the exclusion kernel scans.  A direct per-pair reference
+implementation of visibility is kept alongside as the oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from typing import ItemsView, Iterable, Iterator, Sequence
 
 from .clique import find_max_clique
@@ -99,11 +104,13 @@ def _coerce_point(raw: Sequence, pos: int) -> Point:
 
 
 class LineIncidenceMap:
-    """Every line spanned by a point set, with the indices it carries.
+    """The construction's table of lines, keyed by canonical coefficients.
 
     Each entry maps a canonical line to the ascending list of 1-based
-    indices of all points on it (always >= 2).  Every unordered pair of
-    distinct indices therefore appears in exactly one entry's list.
+    indices of all points on it (always >= 2), so every unordered pair of
+    distinct indices appears in exactly one entry's list.  The table grows
+    only by `add_point`; the exclusion kernel scans it by coefficients.
+    Readers of a finished set use `_Lines` instead.
     """
 
     __slots__ = ("_entries",)
@@ -146,9 +153,6 @@ class LineIncidenceMap:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, line: CanonicalLine) -> bool:
-        return line in self._entries
-
     def get(self, line: CanonicalLine) -> tuple[int, ...] | None:
         lst = self._entries.get(line)
         return None if lst is None else tuple(lst)
@@ -158,30 +162,11 @@ class LineIncidenceMap:
         loops; callers must not modify the lists."""
         return self._entries.items()
 
-    def entries(self) -> Iterator[tuple[CanonicalLine, tuple[int, ...]]]:
-        """All (line, ascending indices) entries, in deterministic order."""
-        for line, lst in self._entries.items():
-            yield line, tuple(lst)
-
     def two_point_pairs(self) -> set[tuple[int, int]]:
         """Index pairs whose spanning line carries no third point."""
         return {
             (lst[0], lst[1]) for lst in self._entries.values() if len(lst) == 2
         }
-
-    def max_entry(self) -> tuple[CanonicalLine, tuple[int, ...]] | None:
-        """A most-populated entry; ties resolved to the smallest index list."""
-        best: tuple[CanonicalLine, list[int]] | None = None
-        for line, lst in self._entries.items():
-            if best is None or (-len(lst), lst) < (-len(best[1]), best[1]):
-                best = (line, lst)
-        if best is None:
-            return None
-        return best[0], tuple(best[1])
-
-    def pair_count(self) -> int:
-        """Sum of pairs over entries; equals C(n, 2) on a full map."""
-        return sum(m * (m - 1) // 2 for m in map(len, self._entries.values()))
 
 
 def _sorted_along_line(
@@ -191,6 +176,96 @@ def _sorted_along_line(
     if line.b == 0:
         return sorted(indices, key=lambda i: points[i - 1].y)
     return sorted(indices, key=lambda i: points[i - 1].x)
+
+
+class _Lines:
+    """Every line spanned by the points fed so far, from exact directions.
+
+    Each new point n groups the earlier points by exact direction from it,
+    using no incidence map.  A lone point r starts the two-point line
+    {r, n}; a group of two turns its pair's line into a three-point one;
+    a larger group is a line of ``multi`` that n joins.  ``multi`` maps
+    each line of three or more points to its ascending members, keyed by
+    its two least indices, and `order` keeps ``along[key]``, the line and
+    its members in order along it.  ``through`` lists the groups of the
+    last point fed: the earlier points sharing a line with it.
+    ``before`` is the least two-point pair, in (j, i) order, over the
+    points placed before the last one: the pair the construction must
+    have selected.
+    """
+
+    def __init__(self, hom: Sequence[tuple[int, int, int]]) -> None:
+        self.hom = hom  # read as it grows; its points must be pairwise distinct
+        self.n = 0
+        self.two_point: set[tuple[int, int]] = set()
+        self.multi: dict[tuple[int, int], list[int]] = {}
+        self.along: dict[tuple[int, int], tuple[CanonicalLine, list[int]]] = {}
+        self.through: list[list[int]] = []
+        self.before: tuple[int, int] | None = None
+        self._touched: set[tuple[int, int]] = set()  # keys of multi not yet ordered
+        # (j, i) of the least pair that may be two-point; it only moves
+        # forward, as pairs leave two_point for good and new pairs sort
+        # after old ones
+        self._next = (2, 1)
+
+    def least(self) -> tuple[int, int] | None:
+        """Least two-point pair (i, j) in (j, i) order, or None."""
+        j, i = self._next
+        while j <= self.n and (i, j) not in self.two_point:
+            i += 1
+            if i == j:
+                j, i = j + 1, 1
+        self._next = (j, i)
+        return (i, j) if j <= self.n else None
+
+    def advance(self, n: int) -> _Lines:
+        """Feed points up to n; ``through`` and ``before`` then describe n."""
+        for m in range(self.n + 1, n + 1):
+            self.before = self.least()
+            self.n = m
+            hx, hy, hw = self.hom[m - 1]
+            buckets: dict[tuple[int, int], list[int]] = {}
+            for r in range(1, m):
+                rx, ry, rw = self.hom[r - 1]
+                dx = rx * hw - hx * rw
+                dy = ry * hw - hy * rw
+                g = gcd(dx, dy)
+                if dx < 0 or (dx == 0 and dy < 0):
+                    g = -g
+                buckets.setdefault((dx // g, dy // g), []).append(r)
+            self.through = []
+            for group in buckets.values():
+                if len(group) == 1:
+                    self.two_point.add((group[0], m))
+                    continue
+                self.through.append(group)
+                key = (group[0], group[1])
+                if len(group) == 2:
+                    self.two_point.discard(key)
+                    self.multi[key] = [*group, m]
+                else:
+                    self.multi[key].append(m)
+                self._touched.add(key)
+        return self
+
+    def order(self, points: Sequence[Point]) -> set[tuple[int, int]]:
+        """Feed every point of ``points``, then refresh ``along`` for the
+        lines of ``multi`` touched since the last call; returns their keys."""
+        self.advance(len(points))
+        touched, self._touched = self._touched, set()
+        for key in touched:
+            line = _line_from_hom(self.hom[key[0] - 1], self.hom[key[1] - 1])
+            self.along[key] = (line, _sorted_along_line(self.multi[key], points, line))
+        return touched
+
+    def consecutive(self) -> list[tuple[int, int]]:
+        """Visible pairs (i < j) on the lines of ``along``: neighbours along
+        each line of three or more points."""
+        return [
+            (u, v) if u < v else (v, u)
+            for _, order in self.along.values()
+            for u, v in zip(order, order[1:])
+        ]
 
 
 class VisibilityGraph:
@@ -269,30 +344,22 @@ def build_visibility_graph_naive(ps: PointSet) -> VisibilityGraph:
 
 
 def build_visibility_graph(ps: PointSet) -> VisibilityGraph:
-    """Visibility graph via line incidence: a pair is visible exactly when
+    """Visibility graph via the lines of ps: a pair is visible exactly when
     it is consecutive along the (unique) line through it."""
-    lmap = LineIncidenceMap.from_point_set(ps)
-    edges: list[tuple[int, int]] = []
-    for line, lst in lmap.items():
-        if len(lst) == 2:
-            edges.append((lst[0], lst[1]))
-        else:
-            ordered = _sorted_along_line(lst, ps.points, line)
-            for u, v in zip(ordered, ordered[1:]):
-                edges.append((u, v) if u < v else (v, u))
-    return VisibilityGraph(ps.n, edges)
+    lines = _Lines(ps.homogeneous())
+    lines.order(ps.points)
+    return VisibilityGraph(ps.n, chain(lines.two_point, lines.consecutive()))
 
 
 def max_collinear(ps: PointSet) -> tuple[int, list[int]]:
-    """Size and ascending witness of a largest collinear subset."""
+    """Size and ascending witness of a largest collinear subset; ties go
+    to the smallest index list."""
     if ps.n < 2:
         raise InputError(f"max_collinear needs at least 2 points, got {ps.n}")
-    lmap = LineIncidenceMap.from_point_set(ps)
-    entry = lmap.max_entry()
-    if entry is None:  # unreachable with n >= 2
-        raise ImpossibleStateError("no lines in a set of >= 2 points")
-    _, idxs = entry
-    return len(idxs), list(idxs)
+    lines = _Lines(ps.homogeneous()).advance(ps.n)
+    best = min(lines.multi.values(), key=lambda m: (-len(m), m), default=None)
+    witness = list(best or min(lines.two_point))
+    return len(witness), witness
 
 
 def max_visible_clique(ps: PointSet, cap: int | None = None) -> tuple[int, list[int]]:

@@ -230,11 +230,29 @@ def test_output_bytes_are_pinned(tmp_path, capsys):
          "13082d934600c30adc52a160457dfaab26b342012b067b40b046dc3acb922897"),
         (["analyze", "--points", lattice, "--k", "4", "--l", "4"], 0,
          "6458158df0d0a50adfcc3bd9ab9b949222d40a49cb377608dd8a09d23ae762bc"),
+        (["analyze", "--points", str(points), "--k", "5", "--l", "13"], 0,
+         "5ae6d113dfd89532eb9002f3b0921f67260f77584a6726494f444b0d74afdb2b"),
     ]
     for argv, code, digest in cases:
         assert main(argv) == code, argv
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+    # render writes its SVG to --out; the digest is of that file
+    svg = tmp_path / "out.svg"
+    renders = [
+        (lattice, "visibility",
+         "81993c4310ca038f96267b4b97f46ba5d6e7b479798dc6d02e4d42082dd0ea58"),
+        (lattice, "collinear",
+         "4ceaf8886e7cb874c500fb465cf39ee02a99479f06bd124604827b7f658ac8d7"),
+        (str(points), "visibility",
+         "2393ed72f6b27b806bf30b5a3e6c7ebe7a2c3fb6e8a7e49d4aacffc67fabb051"),
+        (str(points), "collinear",
+         "8d674ccdc38980ec3549c6485c332e7830271869852dcc5ec5670914d75a1f1b"),
+    ]
+    for path, edges, digest in renders:
+        argv = ["render", "--points", path, "--out", str(svg), "--edges", edges]
+        assert main(argv) == 0, argv
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest, argv
 
 
 def test_verify_rejects_malformed_rational(tmp_path, capsys):
@@ -273,6 +291,40 @@ def test_non_utf8_file_is_format_error(tmp_path, capsys, argv):
     files = {"BAD": str(bad), "GOOD": good, "OUT": str(tmp_path / "out")}
     assert main([files.get(a, a) for a in argv]) == 2
     assert capsys.readouterr().err == f"error: {bad}: not UTF-8: invalid start byte at byte 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+BIG_X = '{"format_version": 1, "points": [{"x": "1' + "0" * 5000 + '", "y": "0"}]}'
+BIG_VERSION = '{"format_version": 1' + "0" * 5000 + ', "points": []}'
+REPEATED = '{"format_version": 1, "points": [], "points": [{"x": "0", "y": "0"}]}'
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["analyze", "--points", "BAD", "--k", "3", "--l", "3"], BIG_X,
+     "error: points[0].x: rational of 5001 characters: Exceeds the limit"),
+    (["verify", "--points", "BAD"], BIG_VERSION, "error: json: not valid JSON: Exceeds"),
+    (["render", "--points", "BAD", "--out", "OUT"], "[" * 200000,
+     "error: json: not valid JSON: maximum recursion depth"),
+    (["verify", "--points", "GOOD", "--trace", "BAD"], BIG_VERSION,
+     "error: json: not valid JSON: Exceeds"),
+    (["verify", "--points", "GOOD", "--trace", "BAD"], "[" * 200000,
+     "error: json: not valid JSON: maximum recursion depth"),
+    (["analyze", "--points", "BAD", "--k", "3", "--l", "3"], REPEATED,
+     "error: json: repeated key 'points'"),
+    (["verify", "--points", "GOOD", "--trace", "BAD"],
+     '{"format_version": 1, "records": [], "format_version": 1}',
+     "error: json: repeated key 'format_version'"),
+], ids=["big-x", "big-version", "deep", "trace-big-version", "trace-deep", "repeated-key",
+        "trace-repeated-key"])
+def test_unreadable_json_is_format_error(tmp_path, capsys, argv, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good = write_points(tmp_path / "good.json", DEFAULT_SEED)
+    files = {"BAD": str(bad), "GOOD": good, "OUT": str(tmp_path / "out")}
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
     assert not (tmp_path / "out").exists()
 
 

@@ -316,7 +316,7 @@ def test_generate_from_custom_seed():
     state = generate([(0, 0), (2, 0), (1, 3)], 12)
     assert state.n == 12
     lmap = LineIncidenceMap.from_point_set(state.point_set())
-    assert max(len(lst) for _, lst in lmap.entries()) == 3
+    assert max(len(lst) for _, lst in lmap.items()) == 3
     assert {tuple(p) for p in state.pending} == lmap.two_point_pairs()
 
 
@@ -325,7 +325,7 @@ def test_construction_invariants_hold_along_run():
         lmap = LineIncidenceMap.from_point_set(state.point_set())
         assert {tuple(p) for p in state.pending} == lmap.two_point_pairs()
         assert dict(state.lines._entries) == dict(lmap._entries)
-        assert all(len(lst) <= 3 for _, lst in lmap.entries())
+        assert all(len(lst) <= 3 for _, lst in lmap.items())
 
 
 def test_records_describe_blocked_midpoints():
@@ -355,7 +355,7 @@ def test_no_selectable_pair_left_behind():
     selected = {rec.pair for rec in state.trace}
     on_full_line = {
         (lst[a], lst[b])
-        for _, lst in state.lines.entries()
+        for _, lst in state.lines.items()
         if len(lst) == 3
         for a in range(3)
         for b in range(a + 1, 3)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from blbc.construction import DEFAULT_SEED, generate
 from blbc.errors import FormatError
@@ -234,6 +235,86 @@ def test_trace_rejects_malformed(mutate, field):
     with pytest.raises(FormatError) as exc:
         parse_trace_file(json.dumps(doc))
     assert exc.value.field == field
+
+
+# input the strict parsers must refuse with FormatError, and only that
+
+BIG_X = '{"format_version": 1, "points": [{"x": "1' + "0" * 5000 + '", "y": "0"}]}'
+BIG_VERSION = '{"format_version": 1' + "0" * 5000 + ', "points": []}'
+DEEP = "[" * 200000
+REPEATED_POINTS = '{"format_version": 1, "points": [], "points": [{"x": "0", "y": "0"}]}'
+
+
+@pytest.mark.parametrize("parse, text, field, words", [
+    (parse_point_file, BIG_X, "points[0].x", "rational of 5001 characters"),
+    (parse_point_file, BIG_VERSION, "json", "not valid JSON"),
+    (parse_point_file, DEEP, "json", "recursion"),
+    (parse_trace_file, json.dumps(valid_trace_doc()).replace('"t": "1/2"',
+                                                            '"t": "1/2' + "0" * 5000 + '"', 1),
+     "records[0].t", "rational of 5003 characters"),
+    (parse_trace_file, BIG_VERSION, "json", "not valid JSON"),
+    (parse_trace_file, DEEP, "json", "recursion"),
+], ids=["point-x", "point-version", "point-deep", "trace-t", "trace-version", "trace-deep"])
+def test_oversized_input_is_format_error(parse, text, field, words):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert exc.value.field == field
+    assert words in exc.value.message
+
+
+@pytest.mark.parametrize("parse, text, key", [
+    (parse_point_file, REPEATED_POINTS, "points"),
+    (parse_point_file, '{"format_version": 1, "points": [], "format_version": 1}',
+     "format_version"),
+    (parse_point_file, '{"format_version": 1, "points": [{"x": "0", "x": "1", "y": "0"}]}',
+     "x"),
+    (parse_point_file,
+     '{"format_version": 1, "points": [], "metadata": {"note": {"a": 1, "a": 2}}}', "a"),
+    (parse_trace_file, json.dumps(valid_trace_doc()).replace('"t": "1/2"',
+                                                            '"t": "1/2", "t": "1/3"', 1), "t"),
+    (parse_trace_file, '{"records": [], "format_version": 1, "records": []}', "records"),
+], ids=["root", "version", "point", "metadata", "record", "trace-root"])
+def test_repeated_key_is_format_error(parse, text, key):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert exc.value.field == "json"
+    assert exc.value.message == f"repeated key {key!r}"
+
+
+_KEYS = st.sampled_from(["format_version", "points", "metadata", "records", "x", "y",
+                         "point", "n", "i", "j", "excluded_count", "t"])
+_RATIONALS = (st.sampled_from(["0", "1/2", "-3", "7/5"])
+              | st.sampled_from(["2/4", "1/0", "-0", "01", " 1", "1.5"]))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _RATIONALS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=6),
+    max_leaves=20,
+)
+_POINT = st.fixed_dictionaries({"x": _RATIONALS, "y": _RATIONALS}) | _JSON
+# a record whose "n" is drawn as None gets the consecutive value in _RECORDS
+_RECORD = st.fixed_dictionaries(
+    {"n": st.none() | st.integers(2, 6), "i": st.integers(0, 3), "j": st.integers(2, 4),
+     "excluded_count": st.integers(-1, 3), "t": _RATIONALS, "point": _POINT})
+_RECORDS = st.lists(_RECORD, max_size=3).map(
+    lambda recs: [{**r, "n": k + 4} if r["n"] is None else r for k, r in enumerate(recs)])
+_VERSION = st.just(1) | st.integers(0, 2) | _JSON
+_DOCS = st.fixed_dictionaries(
+    {"format_version": _VERSION, "points": st.lists(_POINT, max_size=3) | _JSON},
+    optional={"metadata": st.dictionaries(_KEYS, _JSON, max_size=3) | _JSON},
+) | st.fixed_dictionaries({"format_version": _VERSION, "records": _RECORDS | _JSON})
+
+
+@given(st.text() | _JSON.map(json.dumps) | _DOCS.map(json.dumps))
+@example(BIG_X)
+@example(BIG_VERSION)
+@example(DEEP)
+@example(REPEATED_POINTS)
+def test_parsers_raise_nothing_but_format_error(text):
+    for parse in (parse_point_file, parse_trace_file):
+        try:
+            parse(text)
+        except FormatError:
+            pass
 
 
 # verification and analysis documents

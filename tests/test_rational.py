@@ -68,6 +68,14 @@ def test_parse_rejects_malformed(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("text", ["1" + "0" * 5000, "1/3" + "0" * 5000])
+def test_parse_rejects_integers_over_the_digit_limit(text):
+    # int() refuses them; raising its limit would not help, as a value
+    # that large could not be formatted back either
+    with pytest.raises(RationalFormatError, match=f"rational of {len(text)} characters"):
+        parse_rational(text)
+
+
 @pytest.mark.parametrize(
     "value, text",
     [

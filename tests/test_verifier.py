@@ -16,7 +16,7 @@ from blbc.construction import (
     init_state,
 )
 from blbc.errors import ConsistencyError, InputError
-from blbc.geometry import Orientation, Point, line_through, on_open_segment, orientation
+from blbc.geometry import Orientation, Point, on_open_segment, orientation
 from blbc.verifier import (
     CHECK_ORDER,
     CHECKS,
@@ -222,10 +222,10 @@ def test_visiblepairlemma_four_collinear():
 
 def test_lemma_line_failures_reports_not_between():
     # index 3 at an end of the line: pair (1, 3) has its larger index
-    # outside the other two, which the per-line helper must flag
+    # outside the other two, which the per-line helper must flag; the
+    # helper takes the line's indices in order along it
     points = [Point(F(1), F(0)), Point(F(2), F(0)), Point(F(0), F(0))]
-    line = line_through(points[0], points[1])
-    failures = _lemma_line_failures(line, [1, 2, 3], points)
+    failures = _lemma_line_failures([3, 1, 2], points)
     assert {f["reason"] for f in failures} == {"third_not_earlier", "not_between"}
     by_pair = {tuple(f["pair"]): f["reason"] for f in failures}
     assert by_pair[(1, 3)] == "not_between"

@@ -8,6 +8,7 @@ import pytest
 from blbc.construction import DEFAULT_SEED, generate
 from blbc.errors import DuplicatePointError, ImpossibleStateError, InputError
 from blbc.geometry import Point, line_through, on_open_segment
+from blbc.svgrender import render_svg
 from blbc.visibility import (
     BlbcOutcome,
     LineIncidenceMap,
@@ -86,10 +87,9 @@ def test_incidence_map_collects_collinear_indices():
     lmap = LineIncidenceMap.from_point_set(ps)
     x_axis = line_through(Point(Fraction(0), Fraction(0)), Point(Fraction(1), Fraction(0)))
     assert lmap.get(x_axis) == (1, 2, 3)
-    assert x_axis in lmap
     # lines: x-axis, plus one per pair with point 4
     assert len(lmap) == 4
-    assert lmap.pair_count() == comb(4, 2)
+    assert sum(comb(len(lst), 2) for _, lst in lmap.items()) == comb(4, 2)
 
 
 def test_incidence_map_pair_partition_random():
@@ -97,8 +97,8 @@ def test_incidence_map_pair_partition_random():
     for _ in range(25):
         ps = random_point_set(rng, rng.randint(2, 12))
         lmap = LineIncidenceMap.from_point_set(ps)
-        assert lmap.pair_count() == comb(ps.n, 2)
-        for line, idxs in lmap.entries():
+        assert sum(comb(len(lst), 2) for _, lst in lmap.items()) == comb(ps.n, 2)
+        for line, idxs in lmap.items():
             assert list(idxs) == sorted(idxs)
             assert len(idxs) >= 2
             for i in idxs:
@@ -123,24 +123,24 @@ def test_add_point_returns_the_lines_it_joined():
     assert lmap.add_point(hom, 5) == [line_through(ps.point(1), ps.point(3))]
     # (1, 1) lies on the line through (2, 0) and (0, 2) only
     assert lmap.add_point(hom, 6) == [line_through(ps.point(2), ps.point(3))]
-    assert dict(lmap.entries()) == dict(LineIncidenceMap.from_point_set(ps).entries())
+    assert dict(lmap.items()) == dict(LineIncidenceMap.from_point_set(ps).items())
 
 
 def test_from_point_set_reads_raw_sequences_through_point_set():
     raw = [Point(Fraction(0), Fraction(0)), (1, 0), (Fraction(1, 2), 3)]
-    assert (dict(LineIncidenceMap.from_point_set(raw).entries())
-            == dict(LineIncidenceMap.from_point_set(PointSet(raw)).entries()))
+    assert (dict(LineIncidenceMap.from_point_set(raw).items())
+            == dict(LineIncidenceMap.from_point_set(PointSet(raw)).items()))
     with pytest.raises(DuplicatePointError, match="points 1 and 2"):
         LineIncidenceMap.from_point_set([Point(0, 0), Point(0, 0)])
 
 
-def test_max_entry_breaks_ties_to_smallest_indices():
+def test_max_collinear_breaks_ties_to_smallest_indices():
     # two 3-point lines: y=0 carries {1,2,3}, x=0 carries {1,4,5}
     ps = PointSet([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)])
-    lmap = LineIncidenceMap.from_point_set(ps)
-    line, idxs = lmap.max_entry()
-    assert idxs == (1, 2, 3)
-    assert line.contains(Point(Fraction(2), Fraction(0)))
+    assert max_collinear(ps) == (3, [1, 2, 3])
+    # y=0 {1,3,4} is completed before x=0 {1,2,5}; the smaller list wins
+    ps = PointSet([(0, 0), (0, 1), (1, 0), (2, 0), (0, 2)])
+    assert max_collinear(ps) == (3, [1, 2, 5])
 
 
 # is_visible and graph builders
@@ -241,6 +241,25 @@ def test_max_collinear_witness_is_collinear():
         if size >= 3:
             line = line_through(ps.point(witness[0]), ps.point(witness[1]))
             assert all(line.contains(ps.point(i)) for i in witness[2:])
+
+
+def test_analysis_does_not_use_the_incidence_map(monkeypatch):
+    # the analyzer and renderer read the line pass, not the construction's map
+    sets = [generate(DEFAULT_SEED, 30).point_set(), PointSet(GRID)]
+    modes = ("visibility", "collinear", "none")
+
+    def outputs(ps):
+        return (max_collinear(ps), build_visibility_graph(ps),
+                check_blbc_instance(ps, 4, 3), [render_svg(ps, m) for m in modes])
+
+    expected = [outputs(ps) for ps in sets]
+
+    def refuse(*args):
+        raise AssertionError("the analysis grew a LineIncidenceMap")
+
+    monkeypatch.setattr(LineIncidenceMap, "add_point", refuse)
+    assert [outputs(ps) for ps in sets] == expected
+    assert expected[1][0] == (3, [1, 2, 3])
 
 
 def test_max_visible_clique_grid():
@@ -383,7 +402,7 @@ def test_blocking_parameters_mark_exactly_the_collinear_placements():
                 new_idx = extended.n
                 pairs = sum(
                     comb(len(lst) - 1, 2)
-                    for _, lst in lmap.entries()
+                    for _, lst in lmap.items()
                     if new_idx in lst
                 )
                 assert (pairs > 1) == (t in banned), (tuple(ps.points), (i, j), t)
