@@ -31,7 +31,6 @@ from .geometry import (
     Orientation,
     Point,
     _homogeneous,
-    _line_from_hom,
     orientation,
     segment_param_point,
 )
@@ -80,34 +79,31 @@ class InsertionRecord:
 class ConstructionState:
     """Mutable construction state.
 
-    ``points`` is 1-indexed via :meth:`point`; ``lines`` maps every spanned
-    line to the indices on it; ``pending`` holds exactly the pairs whose
-    line carries two points; ``trace`` records every insertion so far.
+    ``points`` is 1-indexed via :meth:`point`; ``lines`` is the incidence
+    map over them, grown one point per insertion, and its cursor tracks
+    the least pending pair; ``pending`` is its ``two_point`` set, exactly
+    the pairs whose line carries two points; ``trace`` records every
+    insertion so far.
     """
 
-    __slots__ = ("points", "lines", "pending", "trace", "_hom", "_next")
+    __slots__ = ("points", "lines", "trace")
 
     def __init__(
-        self,
-        points: list[Point],
-        lines: LineIncidenceMap,
-        pending: set[OrdinaryPair],
-        trace: list[InsertionRecord],
-        hom: list[tuple[int, int, int]],
+        self, points: list[Point], lines: LineIncidenceMap, trace: list[InsertionRecord]
     ):
         self.points = points
         self.lines = lines
-        self.pending = pending
         self.trace = trace
-        self._hom = hom
-        # (j, i) of the least pair that may be pending; it only moves
-        # forward, as pairs leave pending for good and new pairs sort
-        # after old ones
-        self._next = (2, 1)
 
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @property
+    def pending(self) -> set[tuple[int, int]]:
+        """The pairs (i, j) whose line carries no third point (live, not a
+        copy)."""
+        return self.lines.two_point
 
     def point(self, i: int) -> Point:
         if not 1 <= i <= len(self.points):
@@ -133,12 +129,8 @@ def init_state(seed: Sequence[Sequence] = DEFAULT_SEED) -> ConstructionState:
                 raise SeedError(f"seed points {a + 1} and {b + 1} are both {pts[a]}")
     if orientation(*pts) is Orientation.COLLINEAR:
         raise SeedError(f"seed points are collinear: {pts[0]}, {pts[1]}, {pts[2]}")
-    hom = [_homogeneous(p) for p in pts]
-    lines = LineIncidenceMap()
-    for n in (2, 3):
-        lines.add_point(hom, n)
-    pending = {OrdinaryPair(1, 2), OrdinaryPair(1, 3), OrdinaryPair(2, 3)}
-    return ConstructionState(pts, lines, pending, [], hom)
+    lines = LineIncidenceMap([_homogeneous(p) for p in pts]).advance(3)
+    return ConstructionState(pts, lines, [])
 
 
 def state_from_points(points: Iterable[Sequence]) -> ConstructionState:
@@ -147,41 +139,27 @@ def state_from_points(points: Iterable[Sequence]) -> ConstructionState:
     ps = PointSet(points)
     if ps.n < 3:
         raise InputError(f"a construction state needs >= 3 points, got {ps.n}")
-    lines = LineIncidenceMap.from_point_set(ps)
-    pending: set[OrdinaryPair] = set()
-    for line, lst in lines.items():
-        if len(lst) > 3:
-            raise InputError(
-                f"{len(lst)} collinear points (indices {lst}) on line "
-                f"{tuple(line)}; at most 3 are allowed"
-            )
-        if len(lst) == 2:
-            pending.add(OrdinaryPair(lst[0], lst[1]))
-    return ConstructionState(
-        list(ps.points), lines, pending, [], list(ps.homogeneous())
-    )
+    lines = LineIncidenceMap(list(ps.homogeneous())).advance(ps.n)
+    # the first such line in the order of its two least indices, (j, i)
+    crowded = min((lst for lst in lines.multi.values() if len(lst) > 3),
+                  key=lambda lst: (lst[1], lst[0]), default=None)
+    if crowded is not None:
+        raise InputError(
+            f"{len(crowded)} collinear points (indices {crowded}) on line "
+            f"{tuple(lines.line((crowded[0], crowded[1])))}; at most 3 are allowed"
+        )
+    return ConstructionState(list(ps.points), lines, [])
 
 
 def select_ordinary_pair(state: ConstructionState) -> OrdinaryPair:
     """The pending pair minimising j, then i.  Leaves the points, lines and
-    pending set unchanged."""
+    pending set unchanged; only the map's cursor moves up to the pair."""
     if not state.pending:
         raise ImpossibleStateError("no pending pair to select")
-    j, i = state._next
-    while (i, j) not in state.pending:
-        i += 1
-        if i == j:
-            j, i = j + 1, 1
-            if j > len(state.points):
-                raise ImpossibleStateError("pending set and selection order disagree")
-    state._next = (j, i)
-    entry = state.lines.get(_line_from_hom(state._hom[i - 1], state._hom[j - 1]))
-    if entry is None or len(entry) != 2:
-        raise ImpossibleStateError(
-            f"pending pair {(i, j)} lies on a line with "
-            f"{0 if entry is None else len(entry)} recorded points"
-        )
-    return OrdinaryPair(i, j)
+    pair = state.lines.least()
+    if pair is None:
+        raise ImpossibleStateError("pending set and selection order disagree")
+    return OrdinaryPair(*pair)
 
 
 def _as_pending_pair(state: ConstructionState, pair: Sequence[int]) -> OrdinaryPair:
@@ -189,10 +167,12 @@ def _as_pending_pair(state: ConstructionState, pair: Sequence[int]) -> OrdinaryP
         i, j = pair
     except (TypeError, ValueError) as exc:
         raise InputError(f"pair must be two indices, got {pair!r}") from exc
-    candidate = OrdinaryPair(int(i), int(j))
-    if candidate not in state.pending:
-        raise PendingPairError(f"pair {tuple(candidate)} is not pending")
-    return candidate
+    for index in (i, j):
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise InputError(f"pair indices must be int, got {index!r} in {pair!r}")
+    if (i, j) not in state.pending:
+        raise PendingPairError(f"pair {(i, j)} is not pending")
+    return OrdinaryPair(i, j)
 
 
 def excluded_parameters(state: ConstructionState, pair: Sequence[int]) -> set[Fraction]:
@@ -202,7 +182,7 @@ def excluded_parameters(state: ConstructionState, pair: Sequence[int]) -> set[Fr
     Same kernel as `blocking_parameters`, run on the state's own map.
     """
     i, j = _as_pending_pair(state, pair)
-    return _crossing_parameters(state.lines, state._hom, i, j)
+    return _crossing_parameters(state.lines, i, j)
 
 
 def farey_order() -> Iterator[Fraction]:
@@ -250,16 +230,7 @@ def insert_point(
             "other points, which would create a second collinear triple"
         )
 
-    new_point = segment_param_point(state.point(i), state.point(j), t)
     n = len(state.points) + 1
-
-    base = _line_from_hom(state._hom[i - 1], state._hom[j - 1])
-    base_entry = state.lines.get(base)
-    if base_entry != (i, j):
-        raise ImpossibleStateError(
-            f"pending pair {tuple(pair)} expected a two-point line, found {base_entry}"
-        )
-
     bound = comb(n - 3, 2)
     if len(excluded) > bound:
         raise ImpossibleStateError(
@@ -267,16 +238,15 @@ def insert_point(
             f"when inserting point {n}"
         )
 
+    new_point = segment_param_point(state.point(i), state.point(j), t)
     state.points.append(new_point)
-    state._hom.append(_homogeneous(new_point))
-    joined = state.lines.add_point(state._hom, n)
-    if joined != [base]:
+    state.lines.hom.append(_homogeneous(new_point))
+    through = state.lines.advance(n).through
+    if through != [[i, j]]:
         raise ImpossibleStateError(
-            f"new point {n} joined lines {[tuple(line) for line in joined]}, "
-            f"not just {tuple(base)}; parameter {t} should have been excluded"
+            f"new point {n} is collinear with the groups {through}, not just "
+            f"{[i, j]}; parameter {t} should have been excluded"
         )
-    state.pending.discard(pair)
-    state.pending.update(OrdinaryPair(m, n) for m in range(1, n) if m != i and m != j)
 
     record = InsertionRecord(
         n=n, pair=pair, excluded_count=len(excluded), chosen_t=t, point=new_point

@@ -72,11 +72,6 @@ def _line_from_hom(ha: tuple[int, int, int], hb: tuple[int, int, int]) -> Canoni
     return CanonicalLine(a // g, b // g, c // g)
 
 
-def _line_eval_hom(line: CanonicalLine, h: tuple[int, int, int]) -> int:
-    """W * (a*x + b*y - c) for the homogenised point; zero iff incident."""
-    return line.a * h[0] + line.b * h[1] - line.c * h[2]
-
-
 def orientation(a: Point, b: Point, c: Point) -> Orientation:
     """Turn direction of the ordered triple (a, b, c)."""
     cross = (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y)

@@ -8,47 +8,36 @@ to the usual mathematical orientation.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 from .errors import InputError
-from .visibility import PointSet, _Lines, build_visibility_graph
+from .visibility import PointSet, _ordered_lines, build_visibility_graph
 
 EDGE_MODES = ("visibility", "collinear", "none")
 
-_PRECISION = 12
+_CONTEXT = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
 def _num(value: Fraction) -> str:
     """12-significant-digit decimal text, deterministic across platforms."""
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
-        ctx.rounding = ROUND_HALF_EVEN
-        d = Decimal(value.numerator) / Decimal(value.denominator)
+    d = _CONTEXT.divide(Decimal(value.numerator), Decimal(value.denominator))
     text = format(d, "f")
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     return text if text != "-0" else "0"
 
 
-def _segments(ps: PointSet, edges: str) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
+def _segments(ps: PointSet, edges: str) -> list[tuple[int, int]]:
+    """Index pairs of the segments to draw."""
     if edges == "none" or ps.n < 2:
         return []
-    segs: list[tuple[Fraction, Fraction, Fraction, Fraction]] = []
     if edges == "visibility":
-        graph = build_visibility_graph(ps)
-        for i, j in graph.edges:
-            a, b = ps.point(i), ps.point(j)
-            segs.append((a.x, a.y, b.x, b.y))
-        return segs
+        return list(build_visibility_graph(ps).edges)
     # collinear: one segment per line carrying >= 3 points, across its
     # extremes, in line order
-    lines = _Lines(ps.homogeneous())
-    lines.order(ps.points)
-    for _, order in sorted(lines.along.values()):
-        a, b = ps.point(order[0]), ps.point(order[-1])
-        segs.append((a.x, a.y, b.x, b.y))
-    return segs
+    along = _ordered_lines(ps).along.values()
+    return [(order[0], order[-1]) for _, order in sorted(along)]
 
 
 def render_svg(ps: PointSet, edges: str = "none") -> str:
@@ -75,21 +64,21 @@ def render_svg(ps: PointSet, edges: str = "none") -> str:
         f"{_num(maxx - minx + 2 * pad)} {_num(maxy - miny + 2 * pad)}"
     )
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">')
+    xy = [(_num(p.x), _num(-p.y)) for p in ps.points]
     segs = _segments(ps, edges)
     if segs:
         out.append(
             f'  <g class="edges" stroke="#3366aa" stroke-width="{_num(stroke)}" '
             'fill="none">'
         )
-        for x1, y1, x2, y2 in segs:
-            out.append(
-                f'    <line x1="{_num(x1)}" y1="{_num(-y1)}" '
-                f'x2="{_num(x2)}" y2="{_num(-y2)}"/>'
-            )
+        for i, j in segs:
+            (x1, y1), (x2, y2) = xy[i - 1], xy[j - 1]
+            out.append(f'    <line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
         out.append("  </g>")
     out.append('  <g class="points" fill="#202020">')
-    for p in ps.points:
-        out.append(f'    <circle cx="{_num(p.x)}" cy="{_num(-p.y)}" r="{_num(radius)}"/>')
+    r = _num(radius)
+    for cx, cy in xy:
+        out.append(f'    <circle cx="{cx}" cy="{cy}" r="{r}"/>')
     out.append("  </g>")
     out.append(
         f'  <g class="labels" font-family="monospace" font-size="{_num(font)}" '

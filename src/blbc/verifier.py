@@ -19,10 +19,11 @@ with a machine-readable counterexample on failure:
 `CHECKS` names them all and says which need a trace and which run by
 default.  One engine computes every report: it is fed points one at a
 time, and each insertion record after its point.  Every check but
-``exclusionbound``, which reads each record alone, reads the line pass
-`visibility._Lines`, which groups the earlier points by exact direction
-from each new one; the analyzer and renderer read the same pass, and no
-check shares code with the construction's incidence map.
+``exclusionbound``, which reads each record alone, reads the engine's own
+`visibility.LineIncidenceMap`, built from the raw coordinates it was fed;
+the construction grows a separate instance of the same structure, which
+the verifier never reads (it sees only a state's points, trace and
+pending set).
 `verify_construction_run` reports after every point of a run; the
 per-set functions and `verify_points` feed a whole set and report once,
 so sweep and one-shot reports are identical by construction.  The
@@ -40,7 +41,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .construction import ConstructionState, InsertionRecord
 from .errors import ConsistencyError, InputError
 from .geometry import Point, _homogeneous, on_open_segment
-from .visibility import PointSet, _Lines
+from .visibility import LineIncidenceMap, PointSet
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,10 @@ def _normalize_pending(pending: Iterable[Sequence[int]], n: int) -> set[tuple[in
 class _Engine:
     """Fed points one at a time, and each insertion record after its point.
 
-    Every check reads one `_Lines` pass over the raw coordinates, never
-    the construction's bookkeeping.  A point check first has it order the
-    lines touched since the last report, and refreshes their lemma
-    failures.
+    Every check reads one `LineIncidenceMap` over the raw coordinates fed,
+    never the construction's bookkeeping.  A point check first has it
+    order the lines touched since the last report, and refreshes their
+    lemma failures.
     Records are judged on arrival by the selected trace checks; those
     that ask which pairs are collinear advance the pass to the record.
     ``pending=None`` stands for the pending set of a valid run: exactly
@@ -217,13 +218,13 @@ class _Engine:
         self.points: list[Point] = []
         self.hom: list[tuple[int, int, int]] = []
         self._index: dict[tuple[int, int, int], int] = {}  # hom -> 1-based index
-        self.lines = _Lines(self.hom)
+        self.lines = LineIncidenceMap(self.hom)
         self.records = 0
         self.failures: dict[str, dict] = {}  # first failure per trace check
         # lemma failures per line of >= 3 points, by the key of lines.multi
         self._lemma: dict[tuple[int, int], list[dict]] = {}
 
-    def add_point(self, p: Point) -> None:
+    def feed_point(self, p: Point) -> None:
         h, n = _homogeneous(p), len(self.hom) + 1
         first = self._index.setdefault(h, n)
         if first != n:
@@ -231,7 +232,7 @@ class _Engine:
         self.points.append(p)
         self.hom.append(h)
 
-    def add_record(self, rec: InsertionRecord) -> None:
+    def feed_record(self, rec: InsertionRecord) -> None:
         self.records += 1
         for name in self.checks:
             judge = CHECKS[name].judge
@@ -243,7 +244,7 @@ class _Engine:
     def report(self, name: str) -> VerificationReport:
         return CHECKS[name].report(self)
 
-    def grown(self) -> _Lines:
+    def grown(self) -> LineIncidenceMap:
         """The line pass over every point fed, lemma failures refreshed."""
         lines = self.lines
         for key in lines.order(self.points):
@@ -261,8 +262,7 @@ class _Engine:
             f"no{self.k}collinear",
             worst is None,
             None if worst is None else {"indices": list(worst[0]), "line": worst[1]._asdict()},
-            {"points": n, "lines": len(lines.two_point) + len(lines.multi),
-             "max_collinear": max_size},
+            {"points": n, "lines": len(lines), "max_collinear": max_size},
         )
 
     def _visible_pair_lemma(self) -> VerificationReport:
@@ -328,7 +328,7 @@ class _Check(NamedTuple):
 
 
 # Every check, in report order.  All but exclusionbound, which reads each
-# record alone, read the one direction-bucket pass of _Lines.
+# record alone, read the engine's one LineIncidenceMap.
 # ordinaryoracle is opt-in only so that the default reports, and their
 # bytes, stay put.
 CHECKS: dict[str, _Check] = {
@@ -361,9 +361,9 @@ def _run(
     check."""
     engine = _Engine(checks, k, pending)
     for p in points:
-        engine.add_point(p)
+        engine.feed_point(p)
     for rec in trace:
-        engine.add_record(rec)
+        engine.feed_record(rec)
     return [engine.report(name) for name in checks]
 
 
@@ -450,7 +450,7 @@ def verify_ordinary_oracle(
         if not (1 <= si < sj <= ps.n):
             raise InputError(f"selected pair ({si}, {sj}) outside 1 <= i < j <= {ps.n}")
         sel = (si, sj)
-    lines = _Lines(ps.homogeneous()).advance(ps.n)
+    lines = LineIncidenceMap.from_point_set(ps)
     counterexample = _selection_counterexample(sel, lines.least())
     stats = {"points": ps.n, "ordinary_pairs": len(lines.two_point)}
     return VerificationReport("ordinaryoracle", counterexample is None, counterexample, stats)
@@ -503,10 +503,10 @@ def verify_construction_run(
                 f"state with {n} points carries {len(state.trace)} records"
             )
         for p in state.points[len(engine.points):]:
-            engine.add_point(p)
+            engine.feed_point(p)
         if n > 3:
             _check_record(state.trace[-1], n, state.points[-1])
-            engine.add_record(state.trace[-1])
+            engine.feed_record(state.trace[-1])
 
         # After this check the engine's default pending set is the state's.
         two_point = engine.grown().two_point

@@ -3,12 +3,12 @@
 Two points of a set are mutually visible when no third point of the set
 lies strictly inside the segment between them.  Any blocker is collinear
 with the pair, so visibility is decided entirely by the arrangement of
-lines spanned by the set.  `_Lines` finds that arrangement for any
-finished set by grouping earlier points by exact direction from each new
-one; the verifier, the analyzer and the renderer all read it, the visible
-pairs being the neighbours along each line.  `LineIncidenceMap` is the
-construction's own table of the same lines, keyed by their coefficients,
-which the exclusion kernel scans.  A direct per-pair reference
+lines spanned by the set.  `LineIncidenceMap` finds that arrangement by
+grouping earlier points by exact direction from each new one, and is the
+package's only incidence structure: the construction grows one instance
+point by point and its exclusion kernel scans it, while the verifier, the
+analyzer and the renderer each build their own, the visible pairs being
+the neighbours along each line.  A direct per-pair reference
 implementation of visibility is kept alongside as the oracle.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import ItemsView, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .clique import find_max_clique
 from .errors import DuplicatePointError, ImpossibleStateError, InputError
@@ -27,7 +27,6 @@ from .geometry import (
     CanonicalLine,
     Point,
     _homogeneous,
-    _line_eval_hom,
     _line_from_hom,
     line_through,
     on_open_segment,
@@ -103,72 +102,6 @@ def _coerce_point(raw: Sequence, pos: int) -> Point:
     return Point(Fraction(x), Fraction(y))
 
 
-class LineIncidenceMap:
-    """The construction's table of lines, keyed by canonical coefficients.
-
-    Each entry maps a canonical line to the ascending list of 1-based
-    indices of all points on it (always >= 2), so every unordered pair of
-    distinct indices appears in exactly one entry's list.  The table grows
-    only by `add_point`; the exclusion kernel scans it by coefficients.
-    Readers of a finished set use `_Lines` instead.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self) -> None:
-        self._entries: dict[CanonicalLine, list[int]] = {}
-
-    @classmethod
-    def from_point_set(cls, ps: PointSet | Sequence[Sequence]) -> LineIncidenceMap:
-        """Build the full map over all pairs of the set; any other sequence
-        is read through `PointSet`, so repeated points are refused."""
-        hom = (ps if isinstance(ps, PointSet) else PointSet(ps)).homogeneous()
-        lmap = cls()
-        for n in range(2, len(hom) + 1):
-            lmap.add_point(hom, n)
-        return lmap
-
-    def add_point(
-        self, hom: Sequence[tuple[int, int, int]], n: int
-    ) -> list[CanonicalLine]:
-        """Record point n, homogeneous ``hom[n - 1]``, against points 1..n-1.
-
-        This is the only way a map grows.  Returns the lines that already
-        carried two or more points and now carry n too; every other pair
-        (m, n) starts a new two-point line.
-        """
-        entries = self._entries
-        hn = hom[n - 1]
-        joined: list[CanonicalLine] = []
-        for m in range(1, n):
-            line = _line_from_hom(hom[m - 1], hn)
-            lst = entries.get(line)
-            if lst is None:
-                entries[line] = [m, n]
-            elif lst[-1] != n:
-                lst.append(n)
-                joined.append(line)
-        return joined
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, line: CanonicalLine) -> tuple[int, ...] | None:
-        lst = self._entries.get(line)
-        return None if lst is None else tuple(lst)
-
-    def items(self) -> ItemsView[CanonicalLine, list[int]]:
-        """Live (line, ascending indices) view without copies, for hot
-        loops; callers must not modify the lists."""
-        return self._entries.items()
-
-    def two_point_pairs(self) -> set[tuple[int, int]]:
-        """Index pairs whose spanning line carries no third point."""
-        return {
-            (lst[0], lst[1]) for lst in self._entries.values() if len(lst) == 2
-        }
-
-
 def _sorted_along_line(
     indices: Iterable[int], points: Sequence[Point], line: CanonicalLine
 ) -> list[int]:
@@ -178,23 +111,23 @@ def _sorted_along_line(
     return sorted(indices, key=lambda i: points[i - 1].x)
 
 
-class _Lines:
+class LineIncidenceMap:
     """Every line spanned by the points fed so far, from exact directions.
 
-    Each new point n groups the earlier points by exact direction from it,
-    using no incidence map.  A lone point r starts the two-point line
-    {r, n}; a group of two turns its pair's line into a three-point one;
-    a larger group is a line of ``multi`` that n joins.  ``multi`` maps
-    each line of three or more points to its ascending members, keyed by
-    its two least indices, and `order` keeps ``along[key]``, the line and
-    its members in order along it.  ``through`` lists the groups of the
-    last point fed: the earlier points sharing a line with it.
-    ``before`` is the least two-point pair, in (j, i) order, over the
-    points placed before the last one: the pair the construction must
-    have selected.
+    Each new point n groups the earlier points by exact direction from it.
+    A lone point r starts the two-point line {r, n}; a group of two turns
+    its pair's line into a three-point one; a larger group is a line of
+    ``multi`` that n joins.  ``two_point`` holds the pairs (i < j) whose
+    line carries no third point.  ``multi`` maps each line of three or
+    more points to its ascending members, keyed by its two least indices,
+    and `order` keeps ``along[key]``, the line and its members in order
+    along it.  ``through`` lists the groups of the last point fed: the
+    earlier points sharing a line with it.  ``before`` is the least
+    two-point pair, in (j, i) order, over the points placed before the
+    last one: the pair the construction must have selected.
     """
 
-    def __init__(self, hom: Sequence[tuple[int, int, int]]) -> None:
+    def __init__(self, hom: list[tuple[int, int, int]]) -> None:
         self.hom = hom  # read as it grows; its points must be pairwise distinct
         self.n = 0
         self.two_point: set[tuple[int, int]] = set()
@@ -208,6 +141,25 @@ class _Lines:
         # after old ones
         self._next = (2, 1)
 
+    @classmethod
+    def from_point_set(cls, ps: PointSet | Sequence[Sequence]) -> LineIncidenceMap:
+        """Every point of the set fed; any other sequence is read through
+        `PointSet`, so repeated points are refused."""
+        hom = (ps if isinstance(ps, PointSet) else PointSet(ps)).homogeneous()
+        return cls(hom).advance(len(hom))
+
+    def __len__(self) -> int:
+        """Number of distinct lines spanned."""
+        return len(self.two_point) + len(self.multi)
+
+    def two_point_pairs(self) -> set[tuple[int, int]]:
+        """Copy of the pairs whose line carries no third point."""
+        return set(self.two_point)
+
+    def line(self, key: tuple[int, int]) -> CanonicalLine:
+        """Canonical line through the two points of ``key``."""
+        return _line_from_hom(self.hom[key[0] - 1], self.hom[key[1] - 1])
+
     def least(self) -> tuple[int, int] | None:
         """Least two-point pair (i, j) in (j, i) order, or None."""
         j, i = self._next
@@ -218,7 +170,7 @@ class _Lines:
         self._next = (j, i)
         return (i, j) if j <= self.n else None
 
-    def advance(self, n: int) -> _Lines:
+    def advance(self, n: int) -> LineIncidenceMap:
         """Feed points up to n; ``through`` and ``before`` then describe n."""
         for m in range(self.n + 1, n + 1):
             self.before = self.least()
@@ -254,7 +206,7 @@ class _Lines:
         self.advance(len(points))
         touched, self._touched = self._touched, set()
         for key in touched:
-            line = _line_from_hom(self.hom[key[0] - 1], self.hom[key[1] - 1])
+            line = self.line(key)
             self.along[key] = (line, _sorted_along_line(self.multi[key], points, line))
         return touched
 
@@ -343,12 +295,32 @@ def build_visibility_graph_naive(ps: PointSet) -> VisibilityGraph:
     return VisibilityGraph(ps.n, edges)
 
 
-def build_visibility_graph(ps: PointSet) -> VisibilityGraph:
-    """Visibility graph via the lines of ps: a pair is visible exactly when
-    it is consecutive along the (unique) line through it."""
-    lines = _Lines(ps.homogeneous())
+def _ordered_lines(ps: PointSet) -> LineIncidenceMap:
+    lines = LineIncidenceMap.from_point_set(ps)
     lines.order(ps.points)
-    return VisibilityGraph(ps.n, chain(lines.two_point, lines.consecutive()))
+    return lines
+
+
+def _graph(lines: LineIncidenceMap) -> VisibilityGraph:
+    """A pair is visible exactly when it is consecutive along the (unique)
+    line through it; ``lines`` must be ordered."""
+    return VisibilityGraph(lines.n, chain(lines.two_point, lines.consecutive()))
+
+
+def _largest_line(lines: LineIncidenceMap) -> tuple[int, list[int]]:
+    best = min(lines.multi.values(), key=lambda m: (-len(m), m), default=None)
+    witness = list(best or min(lines.two_point))
+    return len(witness), witness
+
+
+def _largest_clique(graph: VisibilityGraph, cap: int | None) -> tuple[int, list[int]]:
+    witness = find_max_clique(range(1, graph.n + 1), graph.adjacency(), cap=cap)
+    return len(witness), witness
+
+
+def build_visibility_graph(ps: PointSet) -> VisibilityGraph:
+    """Visibility graph via the lines of ps."""
+    return _graph(_ordered_lines(ps))
 
 
 def max_collinear(ps: PointSet) -> tuple[int, list[int]]:
@@ -356,10 +328,7 @@ def max_collinear(ps: PointSet) -> tuple[int, list[int]]:
     to the smallest index list."""
     if ps.n < 2:
         raise InputError(f"max_collinear needs at least 2 points, got {ps.n}")
-    lines = _Lines(ps.homogeneous()).advance(ps.n)
-    best = min(lines.multi.values(), key=lambda m: (-len(m), m), default=None)
-    witness = list(best or min(lines.two_point))
-    return len(witness), witness
+    return _largest_line(LineIncidenceMap.from_point_set(ps))
 
 
 def max_visible_clique(ps: PointSet, cap: int | None = None) -> tuple[int, list[int]]:
@@ -370,9 +339,7 @@ def max_visible_clique(ps: PointSet, cap: int | None = None) -> tuple[int, list[
     """
     if ps.n < 1:
         raise InputError("max_visible_clique needs a non-empty point set")
-    graph = build_visibility_graph(ps)
-    witness = find_max_clique(range(1, ps.n + 1), graph.adjacency(), cap=cap)
-    return len(witness), witness
+    return _largest_clique(build_visibility_graph(ps), cap)
 
 
 class BlbcOutcome(enum.Enum):
@@ -422,11 +389,9 @@ def check_blbc_instance(ps: PointSet, k: int, l: int) -> BlbcVerdict:
         raise InputError(f"thresholds must be >= 2, got k={k}, l={l}")
     if ps.n < 1:
         raise InputError("check_blbc_instance needs a non-empty point set")
-    if ps.n >= 2:
-        col_size, col_wit = max_collinear(ps)
-    else:
-        col_size, col_wit = 1, [1]
-    cl_size, cl_wit = max_visible_clique(ps, cap=k)
+    lines = _ordered_lines(ps)
+    col_size, col_wit = _largest_line(lines) if ps.n >= 2 else (1, [1])
+    cl_size, cl_wit = _largest_clique(_graph(lines), cap=k)
 
     big_line = col_size >= l
     big_clique = cl_size >= k
@@ -485,50 +450,56 @@ def blocking_parameters(ps: PointSet, i: int, j: int) -> set[Fraction]:
         raise InputError(f"need two distinct indices, got {i} twice")
     ps.point(i)
     ps.point(j)
-    return _crossing_parameters(
-        LineIncidenceMap.from_point_set(ps), ps.homogeneous(), i, j
-    )
+    return _crossing_parameters(LineIncidenceMap.from_point_set(ps), i, j)
 
 
-def _crossing_parameters(
-    lines: LineIncidenceMap, hom: Sequence[tuple[int, int, int]], i: int, j: int
-) -> set[Fraction]:
+def _crossing_parameters(lines: LineIncidenceMap, i: int, j: int) -> set[Fraction]:
     """The exclusion kernel: parameters t in (0, 1) where a line of
     ``lines`` other than the pair's own crosses the open segment (p_i, p_j).
 
-    Only lines disjoint from the pair can cross the open segment; a line
-    through an endpoint meets the segment's line at that endpoint alone.
-    Both facts are asserted against the incidence map, not assumed.
+    With A = p_i, B = p_j and the line through P_m and P_r (its key),
+    ``fa = cross(dA_m, dA_r)`` is w_A times the determinant [A; P_m; P_r],
+    where dA_k is the direction of P_k from A, and ``fb`` likewise for B.
+    A zero means the line passes through that endpoint, and then meets
+    the segment's line there alone; otherwise the line crosses the open
+    segment exactly when the signs differ.  The lines through an endpoint
+    are asserted against the members each line lists, not assumed.
     """
-    a_h = hom[i - 1]
-    b_h = hom[j - 1]
-    base = _line_from_hom(a_h, b_h)
-    wa = a_h[2]
-    wb = b_h[2]
+    hom, multi = lines.hom, lines.multi
+    xa, ya, wa = hom[i - 1]
+    xb, yb, wb = hom[j - 1]
+    # directions from either endpoint, 1-based like the keys
+    da = [(0, 0), *((x * wa - xa * w, y * wa - ya * w) for x, y, w in hom)]
+    db = [(0, 0), *((x * wb - xb * w, y * wb - yb * w) for x, y, w in hom)]
+    wa2, wb2 = wa * wa, wb * wb
     out: set[Fraction] = set()
-    for line, members in lines.items():
-        if line == base:
-            continue
-        fa = _line_eval_hom(line, a_h)
-        if fa == 0:
-            if i not in members:
-                raise ImpossibleStateError(
-                    f"point {i} lies on line {tuple(line)} which does not list it"
-                )
-            continue  # crosses the segment's line at endpoint i only
-        fb = _line_eval_hom(line, b_h)
-        if fb == 0:
-            if j not in members:
-                raise ImpossibleStateError(
-                    f"point {j} lies on line {tuple(line)} which does not list it"
-                )
-            continue
-        if i in members or j in members:
+    for key in chain(lines.two_point, multi):
+        m, r = key
+        amx, amy = da[m]
+        arx, ary = da[r]
+        bmx, bmy = db[m]
+        brx, bry = db[r]
+        fa = amx * ary - amy * arx
+        fb = bmx * bry - bmy * brx
+        if fa and fb:
+            if (fa > 0) != (fb > 0):
+                # fa·wb² / (fa·wb² − fb·wa²) is La·wb / (La·wb − Lb·wa) for
+                # the line's coefficients L
+                u = fa * wb2
+                out.add(Fraction(u, u - fb * wa2))
+        elif (endpoint := i if fa == 0 else j) not in multi.get(key, key):
             raise ImpossibleStateError(
-                f"line {tuple(line)} lists an endpoint of {(i, j)} "
+                f"point {endpoint} lies on line {tuple(lines.line(key))} "
+                "which does not list it"
+            )
+    for (m, r), members in multi.items():
+        if (i in members or j in members) and _cross(da[m], da[r]) and _cross(db[m], db[r]):
+            raise ImpossibleStateError(
+                f"line {tuple(lines.line((m, r)))} lists an endpoint of {(i, j)} "
                 "but passes through neither"
             )
-        if (fa > 0) != (fb > 0):
-            # strict interior crossing of a disjoint line
-            out.add(Fraction(fa * wb, fa * wb - fb * wa))
     return out
+
+
+def _cross(u: tuple[int, int], v: tuple[int, int]) -> int:
+    return u[0] * v[1] - u[1] * v[0]

@@ -28,10 +28,16 @@ from blbc.errors import (
     PlacementError,
     SeedError,
 )
-from blbc.geometry import Point, on_open_segment
+from blbc.geometry import Point, line_through, on_open_segment
 from blbc.visibility import LineIncidenceMap, is_visible
 
 F = Fraction
+
+
+def selection_key(pair):
+    """Selection order of an (i, j) pair: j first, then i."""
+    return (pair[1], pair[0])
+
 
 GOLDEN_RECORDS = [
     (4, (1, 2), 0, F(1, 2), (F(1, 2), F(0))),
@@ -96,6 +102,18 @@ def test_state_from_points_rejects_four_collinear():
         state_from_points([(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])
 
 
+def test_state_from_points_names_the_first_crowded_line():
+    # two lines of four or more points; the message names the line whose
+    # two least indices come first in (j, i) order
+    pts = [(9, 9), (1, 1), (2, 2), (3, 3), (0, 5), (0, 6), (0, 7), (0, 8), (4, 4), (5, 0)]
+    with pytest.raises(InputError) as exc:
+        state_from_points(pts)
+    assert str(exc.value) == (
+        "5 collinear points (indices [1, 2, 3, 4, 9]) on line (1, -1, 0); "
+        "at most 3 are allowed"
+    )
+
+
 def test_state_from_points_allows_three_collinear():
     state = state_from_points([(0, 0), (1, 0), (2, 0)])
     assert state.pending == set()
@@ -142,21 +160,22 @@ def test_select_after_three_insertions():
 
 def test_select_matches_direct_minimum_at_every_step():
     for state in generate_states(DEFAULT_SEED, 25):
-        expected = min(state.pending, key=lambda p: p.key)
+        expected = min(state.pending, key=selection_key)
         assert select_ordinary_pair(state) == expected
     # inserting on the largest pending pair leaves the least one pending
     state = init_state()
     while state.n < 25:
-        assert select_ordinary_pair(state) == min(state.pending, key=lambda p: p.key)
-        pair = max(state.pending, key=lambda p: p.key)
+        assert select_ordinary_pair(state) == min(state.pending, key=selection_key)
+        pair = max(state.pending, key=selection_key)
         insert_point(state, pair, choose_parameter(excluded_parameters(state, pair)))
-    assert select_ordinary_pair(state) == min(state.pending, key=lambda p: p.key)
+    assert select_ordinary_pair(state) == min(state.pending, key=selection_key)
 
 
 def test_select_refuses_a_pending_set_behind_the_selection_order():
     state = generate(DEFAULT_SEED, 8)
     select_ordinary_pair(state)
-    state.pending = {OrdinaryPair(1, 2)}
+    state.pending.clear()
+    state.pending.add((1, 2))
     with pytest.raises(ImpossibleStateError, match="selection order disagree"):
         select_ordinary_pair(state)
 
@@ -180,6 +199,27 @@ def test_excluded_parameters_requires_pending_pair():
         excluded_parameters(state, (1, 4))
     with pytest.raises(PendingPairError):
         excluded_parameters(state, (2, 1))
+
+
+@pytest.mark.parametrize(
+    "make, pair",
+    [
+        (lambda: generate(DEFAULT_SEED, 6), (3.7, 4.0)),
+        (lambda: generate(DEFAULT_SEED, 6), ("3", "4")),
+        (lambda: generate(DEFAULT_SEED, 6), (F(7, 2), 4)),
+        (init_state, (True, 2)),
+    ],
+    ids=["float", "str", "fraction", "bool"],
+)
+def test_pair_indices_must_be_ints(make, pair):
+    # each pair would name a pending pair if its indices were truncated
+    state = make()
+    n = state.n
+    with pytest.raises(InputError, match="must be int"):
+        excluded_parameters(state, pair)
+    with pytest.raises(InputError, match="must be int"):
+        insert_point(state, pair, F(1, 2))
+    assert state.n == n
 
 
 def test_excluded_counts_along_golden_run():
@@ -232,9 +272,7 @@ def test_insert_point_returns_same_state_and_records_step():
         point=Point(F(1, 2), F(0)),
     )
     assert OrdinaryPair(1, 2) not in state.pending
-    assert {p for p in state.pending if p.j == 4} == {
-        OrdinaryPair(3, 4)
-    }
+    assert {p for p in state.pending if p[1] == 4} == {(3, 4)}
 
 
 def test_insert_point_validates_parameter():
@@ -316,16 +354,17 @@ def test_generate_from_custom_seed():
     state = generate([(0, 0), (2, 0), (1, 3)], 12)
     assert state.n == 12
     lmap = LineIncidenceMap.from_point_set(state.point_set())
-    assert max(len(lst) for _, lst in lmap.items()) == 3
-    assert {tuple(p) for p in state.pending} == lmap.two_point_pairs()
+    assert max(map(len, lmap.multi.values())) == 3
+    assert state.pending == lmap.two_point_pairs()
 
 
 def test_construction_invariants_hold_along_run():
     for state in generate_states(DEFAULT_SEED, 20):
         lmap = LineIncidenceMap.from_point_set(state.point_set())
-        assert {tuple(p) for p in state.pending} == lmap.two_point_pairs()
-        assert dict(state.lines._entries) == dict(lmap._entries)
-        assert all(len(lst) <= 3 for _, lst in lmap.items())
+        assert state.pending == lmap.two_point_pairs()
+        assert state.lines.multi == lmap.multi
+        assert len(state.lines) == len(lmap)
+        assert all(len(lst) == 3 for lst in lmap.multi.values())
 
 
 def test_records_describe_blocked_midpoints():
@@ -355,8 +394,7 @@ def test_no_selectable_pair_left_behind():
     selected = {rec.pair for rec in state.trace}
     on_full_line = {
         (lst[a], lst[b])
-        for _, lst in state.lines.items()
-        if len(lst) == 3
+        for lst in state.lines.multi.values()
         for a in range(3)
         for b in range(a + 1, 3)
     }
@@ -366,3 +404,81 @@ def test_no_selectable_pair_left_behind():
             if pair.key >= last_key:
                 continue
             assert pair in selected or tuple(pair) in on_full_line, pair
+
+
+# the exclusion kernel against a brute-force reference
+
+
+def reference_exclusions(points, i, j):
+    """Every t in (0, 1) where the line through two other points crosses
+    the segment (p_i, p_j), by direct Fraction arithmetic."""
+    a, b = points[i - 1], points[j - 1]
+    out = set()
+    others = [m for m in range(1, len(points) + 1) if m not in (i, j)]
+    for m, r in itertools.combinations(others, 2):
+        line = line_through(points[m - 1], points[r - 1])
+        slope = line.a * (b.x - a.x) + line.b * (b.y - a.y)
+        if slope:
+            t = (line.c - line.a * a.x - line.b * a.y) / slope
+            if 0 < t < 1:
+                out.add(t)
+    return out
+
+
+WIDE_SEED = [  # the bit pattern of the benchmark's wide seeds
+    (0, 0),
+    (F(2**40 + 15, 2**31 - 1), F(3, 2**33 + 7)),
+    (F(-5, 2**35 + 3), F(2**41 - 9, 2**29 + 11)),
+]
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    [
+        (lambda: init_state(DEFAULT_SEED), 60),
+        (lambda: init_state(WIDE_SEED), 40),
+        (lambda: state_from_points(
+            [(0, 0), (6, 0), (0, 6), (3, 0), (0, 3), (3, 3), (1, 1), (5, 2)]), 30),
+    ],
+    ids=["default", "wide", "three_point_lines"],
+)
+def test_excluded_parameters_match_reference_at_every_step(make, count):
+    state = make()
+    while state.n < count:
+        pair = select_ordinary_pair(state)
+        excluded = excluded_parameters(state, pair)
+        assert excluded == reference_exclusions(state.points, *pair), state.n
+        insert_point(state, pair, choose_parameter(excluded), _excluded=excluded)
+
+
+def tampered_state():
+    """A run and one of its three-point lines."""
+    state = generate(DEFAULT_SEED, 12)
+    key, members = next(iter(state.lines.multi.items()))
+    return state, key, members
+
+
+def pending_through(state, point):
+    return next(p for p in sorted(state.pending) if point in p)
+
+
+def test_kernel_refuses_a_two_point_pair_with_a_third_point():
+    state, _, members = tampered_state()
+    state.lines.two_point.add((members[0], members[2]))
+    with pytest.raises(ImpossibleStateError, match="which does not list it"):
+        excluded_parameters(state, pending_through(state, members[1]))
+
+
+def test_kernel_refuses_a_line_missing_a_member():
+    state, key, members = tampered_state()
+    state.lines.multi[key] = members[:2]
+    with pytest.raises(ImpossibleStateError, match="which does not list it"):
+        excluded_parameters(state, pending_through(state, members[2]))
+
+
+def test_kernel_refuses_a_line_listing_an_endpoint_off_it():
+    state, key, members = tampered_state()
+    pair = next(p for p in sorted(state.pending) if not set(p) & set(members))
+    state.lines.multi[key] = [*members, pair[0]]
+    with pytest.raises(ImpossibleStateError, match="passes through neither"):
+        excluded_parameters(state, pair)

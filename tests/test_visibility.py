@@ -6,9 +6,8 @@ from math import comb
 import pytest
 
 from blbc.construction import DEFAULT_SEED, generate
-from blbc.errors import DuplicatePointError, ImpossibleStateError, InputError
-from blbc.geometry import Point, line_through, on_open_segment
-from blbc.svgrender import render_svg
+from blbc.errors import DuplicatePointError, InputError
+from blbc.geometry import Point, line_through
 from blbc.visibility import (
     BlbcOutcome,
     LineIncidenceMap,
@@ -82,14 +81,18 @@ def test_point_set_equality():
 # LineIncidenceMap
 
 
+def all_lines(lmap):
+    """Ascending member list of every line of the map."""
+    return [list(pair) for pair in lmap.two_point] + list(lmap.multi.values())
+
+
 def test_incidence_map_collects_collinear_indices():
     ps = PointSet([(0, 0), (1, 0), (2, 0), (0, 1)])
     lmap = LineIncidenceMap.from_point_set(ps)
-    x_axis = line_through(Point(Fraction(0), Fraction(0)), Point(Fraction(1), Fraction(0)))
-    assert lmap.get(x_axis) == (1, 2, 3)
+    assert lmap.multi == {(1, 2): [1, 2, 3]}
     # lines: x-axis, plus one per pair with point 4
     assert len(lmap) == 4
-    assert sum(comb(len(lst), 2) for _, lst in lmap.items()) == comb(4, 2)
+    assert sum(comb(len(lst), 2) for lst in all_lines(lmap)) == comb(4, 2)
 
 
 def test_incidence_map_pair_partition_random():
@@ -97,39 +100,45 @@ def test_incidence_map_pair_partition_random():
     for _ in range(25):
         ps = random_point_set(rng, rng.randint(2, 12))
         lmap = LineIncidenceMap.from_point_set(ps)
-        assert sum(comb(len(lst), 2) for _, lst in lmap.items()) == comb(ps.n, 2)
-        for line, idxs in lmap.items():
-            assert list(idxs) == sorted(idxs)
+        assert sum(comb(len(lst), 2) for lst in all_lines(lmap)) == comb(ps.n, 2)
+        for idxs in all_lines(lmap):
+            assert idxs == sorted(idxs)
             assert len(idxs) >= 2
+            line = line_through(ps.point(idxs[0]), ps.point(idxs[1]))
             for i in idxs:
                 assert line.contains(ps.point(i))
+        for i, j in combinations(range(1, ps.n + 1), 2):
+            others = [r for r in range(1, ps.n + 1) if r not in (i, j)]
+            line = line_through(ps.point(i), ps.point(j))
+            assert ((i, j) in lmap.two_point) == (
+                not any(line.contains(ps.point(r)) for r in others))
 
 
 def test_two_point_pairs_and_multi_entries():
     lmap = LineIncidenceMap.from_point_set(PointSet([(0, 0), (1, 0), (2, 0), (0, 1)]))
-    multi = [(line, tuple(lst)) for line, lst in lmap.items() if len(lst) >= 3]
-    assert len(multi) == 1
-    assert multi[0][1] == (1, 2, 3)
+    assert list(lmap.multi.values()) == [[1, 2, 3]]
     assert lmap.two_point_pairs() == {(1, 4), (2, 4), (3, 4)}
+    # a copy: changing it leaves the map alone
+    lmap.two_point_pairs().clear()
+    assert len(lmap) == 4
 
 
-def test_add_point_returns_the_lines_it_joined():
+def test_advance_reports_the_lines_it_joined():
     ps = PointSet([(0, 0), (2, 0), (0, 2), (1, 0), (0, 1), (1, 1)])
-    hom = ps.homogeneous()
-    lmap = LineIncidenceMap()
-    assert [lmap.add_point(hom, n) for n in range(1, 5)] == [[], [], [], [
-        line_through(ps.point(1), ps.point(2))
-    ]]
-    assert lmap.add_point(hom, 5) == [line_through(ps.point(1), ps.point(3))]
+    lmap = LineIncidenceMap(ps.homogeneous())
+    assert [lmap.advance(n).through for n in range(1, 5)] == [[], [], [], [[1, 2]]]
+    assert lmap.advance(5).through == [[1, 3]]
     # (1, 1) lies on the line through (2, 0) and (0, 2) only
-    assert lmap.add_point(hom, 6) == [line_through(ps.point(2), ps.point(3))]
-    assert dict(lmap.items()) == dict(LineIncidenceMap.from_point_set(ps).items())
+    assert lmap.advance(6).through == [[2, 3]]
+    assert lmap.multi == LineIncidenceMap.from_point_set(ps).multi
+    assert lmap.two_point == LineIncidenceMap.from_point_set(ps).two_point
 
 
 def test_from_point_set_reads_raw_sequences_through_point_set():
     raw = [Point(Fraction(0), Fraction(0)), (1, 0), (Fraction(1, 2), 3)]
-    assert (dict(LineIncidenceMap.from_point_set(raw).items())
-            == dict(LineIncidenceMap.from_point_set(PointSet(raw)).items()))
+    from_raw = LineIncidenceMap.from_point_set(raw)
+    from_set = LineIncidenceMap.from_point_set(PointSet(raw))
+    assert (from_raw.two_point, from_raw.multi) == (from_set.two_point, from_set.multi)
     with pytest.raises(DuplicatePointError, match="points 1 and 2"):
         LineIncidenceMap.from_point_set([Point(0, 0), Point(0, 0)])
 
@@ -243,22 +252,25 @@ def test_max_collinear_witness_is_collinear():
             assert all(line.contains(ps.point(i)) for i in witness[2:])
 
 
-def test_analysis_does_not_use_the_incidence_map(monkeypatch):
-    # the analyzer and renderer read the line pass, not the construction's map
+def test_check_blbc_instance_makes_one_line_pass(monkeypatch):
+    # one analysis reads the collinear witness and the visibility graph off
+    # one pass, feeding each point once
     sets = [generate(DEFAULT_SEED, 30).point_set(), PointSet(GRID)]
-    modes = ("visibility", "collinear", "none")
+    expected = [(max_collinear(ps), max_visible_clique(ps, cap=4)) for ps in sets]
+    fed = []
+    advance = LineIncidenceMap.advance
 
-    def outputs(ps):
-        return (max_collinear(ps), build_visibility_graph(ps),
-                check_blbc_instance(ps, 4, 3), [render_svg(ps, m) for m in modes])
+    def counting(self, n):
+        fed.append(max(n - self.n, 0))
+        return advance(self, n)
 
-    expected = [outputs(ps) for ps in sets]
-
-    def refuse(*args):
-        raise AssertionError("the analysis grew a LineIncidenceMap")
-
-    monkeypatch.setattr(LineIncidenceMap, "add_point", refuse)
-    assert [outputs(ps) for ps in sets] == expected
+    monkeypatch.setattr(LineIncidenceMap, "advance", counting)
+    for ps, (collinear, clique) in zip(sets, expected):
+        fed.clear()
+        verdict = check_blbc_instance(ps, 4, 3)
+        assert sum(fed) == ps.n
+        assert (verdict.collinear_size, verdict.clique_size) == (collinear[0], clique[0])
+        assert verdict.clique_witness == clique[1]
     assert expected[1][0] == (3, [1, 2, 3])
 
 
@@ -397,12 +409,7 @@ def test_blocking_parameters_mark_exactly_the_collinear_placements():
                 if any(cand == p for p in ps.points):
                     continue
                 extended = PointSet(list(ps.points) + [cand])
-                lmap = LineIncidenceMap.from_point_set(extended)
-                # count collinear pairs through the new point
-                new_idx = extended.n
-                pairs = sum(
-                    comb(len(lst) - 1, 2)
-                    for _, lst in lmap.items()
-                    if new_idx in lst
-                )
+                # count collinear pairs through the new point, the last fed
+                through = LineIncidenceMap.from_point_set(extended).through
+                pairs = sum(comb(len(group), 2) for group in through)
                 assert (pairs > 1) == (t in banned), (tuple(ps.points), (i, j), t)
