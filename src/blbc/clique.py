@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .errors import InputError
+from .errors import InputError, _require_int
 
 
 class _CapReached(Exception):
@@ -25,8 +25,10 @@ def find_max_clique(
     and returns exactly ``cap`` vertices, so callers that only need to know
     whether a threshold is reached avoid the full maximum computation.
     """
-    if cap is not None and cap < 1:
-        raise InputError(f"clique size cap must be >= 1, got {cap}")
+    if cap is not None:
+        _require_int(cap, "clique size cap")
+        if cap < 1:
+            raise InputError(f"clique size cap must be >= 1, got {cap}")
     adj = {v: frozenset(adjacency.get(v, ())) for v in vertices}
     if any(v in nbrs for v, nbrs in adj.items()):
         raise InputError("adjacency contains a self-loop")

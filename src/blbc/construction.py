@@ -22,19 +22,20 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import (
     ImpossibleStateError,
     InputError,
-    ParameterRangeError,
     PendingPairError,
     PlacementError,
     SeedError,
+    _require_int,
 )
 from .geometry import (
     Orientation,
     Point,
+    _check_parameter,
     _homogeneous,
     orientation,
     segment_param_point,
 )
-from .visibility import LineIncidenceMap, PointSet, _coerce_point, _crossing_parameters
+from .visibility import LineIncidenceMap, PointSet, _at, _coerce_point, _crossing_parameters
 
 
 class OrdinaryPair(NamedTuple):
@@ -106,9 +107,7 @@ class ConstructionState:
         return self.lines.two_point
 
     def point(self, i: int) -> Point:
-        if not 1 <= i <= len(self.points):
-            raise InputError(f"point index {i} outside 1..{len(self.points)}")
-        return self.points[i - 1]
+        return _at(self.points, i)
 
     def point_set(self) -> PointSet:
         """Current points as an immutable set (validates distinctness)."""
@@ -168,8 +167,7 @@ def _as_pending_pair(state: ConstructionState, pair: Sequence[int]) -> OrdinaryP
     except (TypeError, ValueError) as exc:
         raise InputError(f"pair must be two indices, got {pair!r}") from exc
     for index in (i, j):
-        if isinstance(index, bool) or not isinstance(index, int):
-            raise InputError(f"pair indices must be int, got {index!r} in {pair!r}")
+        _require_int(index, f"index of pair {pair!r}")
     if (i, j) not in state.pending:
         raise PendingPairError(f"pair {(i, j)} is not pending")
     return OrdinaryPair(i, j)
@@ -179,10 +177,11 @@ def excluded_parameters(state: ConstructionState, pair: Sequence[int]) -> set[Fr
     """Parameters t in (0, 1) ruled out for inserting on ``pair``: values
     where the new point would land on a line spanned by other points.
 
-    Same kernel as `blocking_parameters`, run on the state's own map.
+    Same kernel as `blocking_parameters`, run on the state's homogeneous
+    coordinates pair by pair; it reads none of the map's lines.
     """
     i, j = _as_pending_pair(state, pair)
-    return _crossing_parameters(state.lines, i, j)
+    return _crossing_parameters(state.lines.hom, i, j)
 
 
 def farey_order() -> Iterator[Fraction]:
@@ -219,10 +218,7 @@ def insert_point(
     """
     pair = _as_pending_pair(state, pair)
     i, j = pair
-    if not isinstance(t, Fraction):
-        raise InputError(f"parameter must be a Fraction, got {t!r}")
-    if not 0 < t < 1:
-        raise ParameterRangeError(f"parameter {t} is outside the open interval (0, 1)")
+    _check_parameter(t)
     excluded = excluded_parameters(state, pair) if _excluded is None else _excluded
     if t in excluded:
         raise PlacementError(
@@ -263,6 +259,7 @@ def generate_states(
     The same state object is yielded each time and mutates as iteration
     advances; snapshot anything that must outlive the next step.
     """
+    _require_int(count, "count")
     if count < 3:
         raise InputError(f"count must be >= 3, got {count}")
     state = init_state(seed)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer argument
+check that raises one."""
 
 from __future__ import annotations
 
@@ -56,3 +57,11 @@ class FormatError(InputError):
 class ImpossibleStateError(BlbcError):
     """An invariant the construction is supposed to guarantee was observed
     broken.  This signals a corrupted state or a bug, not bad user input."""
+
+
+def _require_int(value: object, what: str) -> None:
+    """Refuse ``value`` as ``what`` unless it is an int and not a bool:
+    indices, thresholds and counts are never truncated or compared as
+    floats."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be int, got {value!r}")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .errors import DegenerateSegmentError, ParameterRangeError
+from .errors import DegenerateSegmentError, InputError, ParameterRangeError
 from .rational import format_rational
 
 
@@ -99,10 +99,18 @@ def line_through(a: Point, b: Point) -> CanonicalLine:
     return _line_from_hom(_homogeneous(a), _homogeneous(b))
 
 
-def segment_param_point(a: Point, b: Point, t: Fraction) -> Point:
-    """Point a + t*(b - a) for t strictly inside (0, 1)."""
-    if a == b:
-        raise DegenerateSegmentError(f"segment endpoints coincide at {Point(*a)}")
+def _check_parameter(t: Fraction) -> None:
+    """Refuse a segment parameter that is not a Fraction strictly inside
+    (0, 1); a float or int would carry inexact or mistyped coordinates."""
+    if not isinstance(t, Fraction):
+        raise InputError(f"parameter must be a Fraction, got {t!r}")
     if not 0 < t < 1:
         raise ParameterRangeError(f"parameter {t} is outside the open interval (0, 1)")
+
+
+def segment_param_point(a: Point, b: Point, t: Fraction) -> Point:
+    """Point a + t*(b - a) for a Fraction t strictly inside (0, 1)."""
+    if a == b:
+        raise DegenerateSegmentError(f"segment endpoints coincide at {Point(*a)}")
+    _check_parameter(t)
     return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))

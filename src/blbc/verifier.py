@@ -39,7 +39,7 @@ from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .construction import ConstructionState, InsertionRecord
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, _require_int
 from .geometry import Point, _homogeneous, on_open_segment
 from .visibility import LineIncidenceMap, PointSet
 
@@ -176,17 +176,17 @@ def _check_record(rec: InsertionRecord, n: int, point: Point) -> None:
         )
 
 
-def _normalize_pending(pending: Iterable[Sequence[int]], n: int) -> set[tuple[int, int]]:
-    out: set[tuple[int, int]] = set()
-    for raw in pending:
-        try:
-            i, j = raw
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"pending entry {raw!r} is not an index pair") from exc
-        if not (1 <= i < j <= n):
-            raise InputError(f"pending pair ({i}, {j}) outside 1 <= i < j <= {n}")
-        out.add((i, j))
-    return out
+def _index_pair(raw: Sequence[int], what: str, n: int) -> tuple[int, int]:
+    """``raw`` as (i, j) with int indices 1 <= i < j <= n, else InputError."""
+    try:
+        i, j = raw
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} {raw!r} is not an index pair") from exc
+    for index in (i, j):
+        _require_int(index, f"index of {what} {raw!r}")
+    if not (1 <= i < j <= n):
+        raise InputError(f"{what} ({i}, {j}) outside 1 <= i < j <= {n}")
+    return i, j
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +212,9 @@ class _Engine:
         k: int = 4,
         pending: set[tuple[int, int]] | None = None,
     ) -> None:
+        _require_int(k, "collinearity threshold")
+        if k < 3:
+            raise InputError(f"collinearity threshold must be >= 3, got {k}")
         self.checks = checks
         self.k = k
         self.pending = pending
@@ -398,8 +401,6 @@ def verify_points(
 
 def verify_no_k_collinear(ps: PointSet, k: int = 4) -> VerificationReport:
     """No k points of ps on one line; vacuously true below k points."""
-    if k < 3:
-        raise InputError(f"collinearity threshold must be >= 3, got {k}")
     return _run(["no4collinear"], ps.points, k=k)[0]
 
 
@@ -425,7 +426,7 @@ def verify_triangle_pending(
     """Every triangle of the visibility graph keeps at least one edge in
     ``pending``; equivalently, the subgraph of visible non-pending edges
     is triangle-free."""
-    pending_set = _normalize_pending(pending, ps.n)
+    pending_set = {_index_pair(raw, "pending pair", ps.n) for raw in pending}
     return _run(["trianglepending"], ps.points, pending=pending_set)[0]
 
 
@@ -441,15 +442,7 @@ def verify_ordinary_oracle(
     no collinear third point; fails when no such pair exists."""
     if ps.n < 2:
         raise InputError(f"ordinary-pair check needs >= 2 points, got {ps.n}")
-    sel: tuple[int, int] | None = None
-    if selected is not None:
-        try:
-            si, sj = selected
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"selected pair {selected!r} is not an index pair") from exc
-        if not (1 <= si < sj <= ps.n):
-            raise InputError(f"selected pair ({si}, {sj}) outside 1 <= i < j <= {ps.n}")
-        sel = (si, sj)
+    sel = None if selected is None else _index_pair(selected, "selected pair", ps.n)
     lines = LineIncidenceMap.from_point_set(ps)
     counterexample = _selection_counterexample(sel, lines.least())
     stats = {"points": ps.n, "ordinary_pairs": len(lines.two_point)}
@@ -484,8 +477,6 @@ def verify_construction_run(
     triple, or if a state's pending set diverges from the two-point lines
     of its own points.
     """
-    if k < 3:
-        raise InputError(f"collinearity threshold must be >= 3, got {k}")
     selected = list(CHECK_ORDER) if checks is None else _known(checks)
     engine = _Engine(selected, k)
     results: list[tuple[int, list[VerificationReport]]] = []

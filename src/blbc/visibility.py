@@ -6,9 +6,11 @@ with the pair, so visibility is decided entirely by the arrangement of
 lines spanned by the set.  `LineIncidenceMap` finds that arrangement by
 grouping earlier points by exact direction from each new one, and is the
 package's only incidence structure: the construction grows one instance
-point by point and its exclusion kernel scans it, while the verifier, the
-analyzer and the renderer each build their own, the visible pairs being
-the neighbours along each line.  A direct per-pair reference
+point by point for its pending pairs, while the verifier, the analyzer
+and the renderer each build their own, the visible pairs being the
+neighbours along each line.  The exclusion kernel behind
+`blocking_parameters` reads no line structure: it loops over pairs of
+points and their homogeneous coordinates.  A direct per-pair reference
 implementation of visibility is kept alongside as the oracle.
 """
 
@@ -22,7 +24,7 @@ from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .clique import find_max_clique
-from .errors import DuplicatePointError, ImpossibleStateError, InputError
+from .errors import DuplicatePointError, ImpossibleStateError, InputError, _require_int
 from .geometry import (
     CanonicalLine,
     Point,
@@ -63,9 +65,7 @@ class PointSet:
 
     def point(self, i: int) -> Point:
         """Point at 1-based index i."""
-        if not 1 <= i <= len(self._points):
-            raise InputError(f"point index {i} outside 1..{len(self._points)}")
-        return self._points[i - 1]
+        return _at(self._points, i)
 
     def homogeneous(self) -> list[tuple[int, int, int]]:
         """Cached integer triples (X, Y, W), W > 0, for exact predicates."""
@@ -86,6 +86,13 @@ class PointSet:
 
     def __repr__(self) -> str:
         return f"PointSet({len(self._points)} points)"
+
+
+def _at(points: Sequence[Point], i: int) -> Point:
+    _require_int(i, "point index")
+    if not 1 <= i <= len(points):
+        raise InputError(f"point index {i} outside 1..{len(points)}")
+    return points[i - 1]
 
 
 def _coerce_point(raw: Sequence, pos: int) -> Point:
@@ -272,10 +279,10 @@ def is_visible(i: int, j: int, ps: PointSet) -> bool:
     This is the defining per-pair test; the graph builders must agree with
     it edge for edge.
     """
-    if i == j:
-        raise InputError(f"visibility needs two distinct indices, got {i} twice")
     a = ps.point(i)
     b = ps.point(j)
+    if i == j:
+        raise InputError(f"visibility needs two distinct indices, got {i} twice")
     for r, p in enumerate(ps.points, start=1):
         if r == i or r == j:
             continue
@@ -385,6 +392,8 @@ class BlbcVerdict:
 def check_blbc_instance(ps: PointSet, k: int, l: int) -> BlbcVerdict:
     """Decide whether ps contains l collinear points or k pairwise visible
     points, with verified witnesses."""
+    _require_int(k, "threshold k")
+    _require_int(l, "threshold l")
     if k < 2 or l < 2:
         raise InputError(f"thresholds must be >= 2, got k={k}, l={l}")
     if ps.n < 1:
@@ -440,66 +449,46 @@ def blocking_parameters(ps: PointSet, i: int, j: int) -> set[Fraction]:
     """Parameters t in (0, 1) where a point placed at a + t*(b - a) on
     segment (p_i, p_j) would be collinear with some other pair of ps.
 
-    Each stored line disjoint from the segment's endpoints crosses the
-    segment's interior in at most one point; the returned set collects the
-    distinct crossing parameters.  When the pair's own line carries no
-    third point, placing a new point at any t outside this set creates
-    exactly one collinear triple: {p_i, new, p_j}.
+    Each line through two other points that misses both endpoints crosses
+    the segment's interior in at most one point; the returned set collects
+    the distinct crossing parameters, computed pair by pair from the
+    coordinates.  When the pair's own line carries no third point, placing
+    a new point at any t outside this set creates exactly one collinear
+    triple: {p_i, new, p_j}.
     """
-    if i == j:
-        raise InputError(f"need two distinct indices, got {i} twice")
     ps.point(i)
     ps.point(j)
-    return _crossing_parameters(LineIncidenceMap.from_point_set(ps), i, j)
+    if i == j:
+        raise InputError(f"need two distinct indices, got {i} twice")
+    return _crossing_parameters(ps.homogeneous(), i, j)
 
 
-def _crossing_parameters(lines: LineIncidenceMap, i: int, j: int) -> set[Fraction]:
-    """The exclusion kernel: parameters t in (0, 1) where a line of
-    ``lines`` other than the pair's own crosses the open segment (p_i, p_j).
+def _crossing_parameters(hom: Sequence[tuple[int, int, int]], i: int, j: int) -> set[Fraction]:
+    """The exclusion kernel: parameters t in (0, 1) where the line through
+    two points of ``hom`` crosses the open segment (p_i, p_j).
 
-    With A = p_i, B = p_j and the line through P_m and P_r (its key),
-    ``fa = cross(dA_m, dA_r)`` is w_A times the determinant [A; P_m; P_r],
-    where dA_k is the direction of P_k from A, and ``fb`` likewise for B.
-    A zero means the line passes through that endpoint, and then meets
-    the segment's line there alone; otherwise the line crosses the open
-    segment exactly when the signs differ.  The lines through an endpoint
-    are asserted against the members each line lists, not assumed.
+    With A = p_i, B = p_j and points P_m, P_r, ``fa = cross(dA_m, dA_r)``
+    is w_A times the determinant [A; P_m; P_r], where dA_k is the direction
+    of P_k from A, and ``fb`` likewise for B.  A zero means the line passes
+    through that endpoint (or the pair contains it), and then meets the
+    segment's line there alone; otherwise the line crosses the open
+    segment exactly when the signs differ.  The pairs of a line with three
+    points give the same t, which the set keeps once.
     """
-    hom, multi = lines.hom, lines.multi
     xa, ya, wa = hom[i - 1]
     xb, yb, wb = hom[j - 1]
-    # directions from either endpoint, 1-based like the keys
-    da = [(0, 0), *((x * wa - xa * w, y * wa - ya * w) for x, y, w in hom)]
-    db = [(0, 0), *((x * wb - xb * w, y * wb - yb * w) for x, y, w in hom)]
+    # each point's directions from A and from B
+    d = [(x * wa - xa * w, y * wa - ya * w, x * wb - xb * w, y * wb - yb * w)
+         for x, y, w in hom]
     wa2, wb2 = wa * wa, wb * wb
     out: set[Fraction] = set()
-    for key in chain(lines.two_point, multi):
-        m, r = key
-        amx, amy = da[m]
-        arx, ary = da[r]
-        bmx, bmy = db[m]
-        brx, bry = db[r]
-        fa = amx * ary - amy * arx
-        fb = bmx * bry - bmy * brx
-        if fa and fb:
-            if (fa > 0) != (fb > 0):
+    for m, (amx, amy, bmx, bmy) in enumerate(d, start=1):
+        for arx, ary, brx, bry in d[m:]:
+            fa = amx * ary - amy * arx
+            fb = bmx * bry - bmy * brx
+            if (fa > 0 and fb < 0) or (fa < 0 and fb > 0):
                 # fa·wb² / (fa·wb² − fb·wa²) is La·wb / (La·wb − Lb·wa) for
                 # the line's coefficients L
                 u = fa * wb2
                 out.add(Fraction(u, u - fb * wa2))
-        elif (endpoint := i if fa == 0 else j) not in multi.get(key, key):
-            raise ImpossibleStateError(
-                f"point {endpoint} lies on line {tuple(lines.line(key))} "
-                "which does not list it"
-            )
-    for (m, r), members in multi.items():
-        if (i in members or j in members) and _cross(da[m], da[r]) and _cross(db[m], db[r]):
-            raise ImpossibleStateError(
-                f"line {tuple(lines.line((m, r)))} lists an endpoint of {(i, j)} "
-                "but passes through neither"
-            )
     return out
-
-
-def _cross(u: tuple[int, int], v: tuple[int, int]) -> int:
-    return u[0] * v[1] - u[1] * v[0]

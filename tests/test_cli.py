@@ -219,6 +219,12 @@ def test_verify_rejects_trace_from_another_run(tmp_path, capsys):
 
 def test_output_bytes_are_pinned(tmp_path, capsys):
     points, trace = gen(tmp_path, 120, trace=True)
+    written = [
+        (points, "41f6d16f4ad3dad49cb868b11017a4f5d3cae47da88a9492fc3ccf3ec7272eb3"),
+        (trace, "5b835f2ec1361bd29aedc479f5ab372a2a99c0648e69a7777ade7f60c5067f94"),
+    ]
+    for path, digest in written:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path
     bad = write_points(tmp_path / "bad.json", [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])
     lattice = write_points(tmp_path / "lattice.json",
                            [(x, y) for y in range(6) for x in range(6)])

@@ -1,10 +1,11 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from blbc.errors import DegenerateSegmentError, ParameterRangeError
+from blbc.errors import DegenerateSegmentError, InputError, ParameterRangeError
 from blbc.geometry import (
     CanonicalLine,
     Orientation,
@@ -167,6 +168,14 @@ def test_segment_param_point_examples():
 @pytest.mark.parametrize("t", [Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2)])
 def test_segment_param_point_range(t):
     with pytest.raises(ParameterRangeError):
+        segment_param_point(P(0, 0), P(1, 0), t)
+
+
+@pytest.mark.parametrize("t", [0.5, 1, True, Decimal("0.5")],
+                         ids=["float", "int", "bool", "decimal"])
+def test_segment_param_point_refuses_a_non_fraction(t):
+    # a float would give float coordinates; an int or bool is no exact parameter
+    with pytest.raises(InputError, match="parameter must be a Fraction"):
         segment_param_point(P(0, 0), P(1, 0), t)
 
 

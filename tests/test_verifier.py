@@ -32,7 +32,14 @@ from blbc.verifier import (
     verify_unique_triple_at_insertion,
     verify_visible_pair_lemma,
 )
-from blbc.visibility import PointSet, build_visibility_graph_naive, is_visible
+from blbc.visibility import (
+    PointSet,
+    blocking_parameters,
+    build_visibility_graph_naive,
+    check_blbc_instance,
+    is_visible,
+    max_visible_clique,
+)
 
 F = Fraction
 
@@ -742,3 +749,58 @@ def test_report_equality_and_determinism():
     b, _ = verify_construction_run(generate_states(DEFAULT_SEED, 15))
     assert a == b
     assert isinstance(a[0][1][0], VerificationReport)
+
+
+# integer arguments
+
+
+SQUARE = PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SQUARE.point(True),
+        lambda: SQUARE.point(1.5),
+        lambda: generate(DEFAULT_SEED, 5).point(1.5),
+        lambda: is_visible(True, 2, SQUARE),
+        lambda: is_visible(1.5, 2, SQUARE),
+        lambda: blocking_parameters(SQUARE, True, 2),
+        lambda: blocking_parameters(SQUARE, 1.5, 2),
+        lambda: verify_triangle_pending(SQUARE, [("1", "2")]),
+        lambda: verify_triangle_pending(SQUARE, [(True, 2)]),
+        lambda: verify_ordinary_oracle(SQUARE, ("1", "2")),
+        lambda: verify_ordinary_oracle(SQUARE, (True, 2)),
+    ],
+    ids=["point-bool", "point-float", "state-point-float", "visible-bool",
+         "visible-float", "blocking-bool", "blocking-float", "pending-str",
+         "pending-bool", "oracle-str", "oracle-bool"],
+)
+def test_indices_must_be_ints(call):
+    # a bool would act as index 1, and a float or string is no index
+    with pytest.raises(InputError, match="must be int"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_no_k_collinear(SQUARE, 3.5),
+        lambda: verify_no_k_collinear(SQUARE, "4"),
+        lambda: verify_construction_run(generate_states(DEFAULT_SEED, 5), k=3.5),
+        lambda: check_blbc_instance(SQUARE, 2.5, 3),
+        lambda: check_blbc_instance(SQUARE, 3, 2.5),
+        lambda: check_blbc_instance(SQUARE, "3", 3),
+        lambda: max_visible_clique(SQUARE, cap=2.5),
+        lambda: max_visible_clique(SQUARE, cap=True),
+        lambda: generate(DEFAULT_SEED, 4.5),
+        lambda: generate(DEFAULT_SEED, "5"),
+    ],
+    ids=["nokcollinear-float", "nokcollinear-str", "sweep-float", "blbc-k-float",
+         "blbc-l-float", "blbc-k-str", "cap-float", "cap-bool", "count-float",
+         "count-str"],
+)
+def test_thresholds_must_be_ints(call):
+    # a fractional threshold or count would be compared as given
+    with pytest.raises(InputError, match="must be int"):
+        call()
