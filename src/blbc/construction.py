@@ -14,6 +14,7 @@ point n, so a fresh parameter always exists.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Container, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
@@ -35,7 +36,14 @@ from .geometry import (
     orientation,
     segment_param_point,
 )
-from .visibility import LineIncidenceMap, PointSet, _at, _coerce_point, _crossing_parameters
+from .visibility import (
+    ExclusionSet,
+    LineIncidenceMap,
+    PointSet,
+    _at,
+    _coerce_point,
+    _crossing_parameters,
+)
 
 
 class OrdinaryPair(NamedTuple):
@@ -173,12 +181,13 @@ def _as_pending_pair(state: ConstructionState, pair: Sequence[int]) -> OrdinaryP
     return OrdinaryPair(i, j)
 
 
-def excluded_parameters(state: ConstructionState, pair: Sequence[int]) -> set[Fraction]:
+def excluded_parameters(state: ConstructionState, pair: Sequence[int]) -> ExclusionSet:
     """Parameters t in (0, 1) ruled out for inserting on ``pair``: values
     where the new point would land on a line spanned by other points.
 
     Same kernel as `blocking_parameters`, run on the state's homogeneous
-    coordinates pair by pair; it reads none of the map's lines.
+    coordinates pair by pair in integers; it reads none of the map's
+    lines.  The result is an `ExclusionSet` of reduced integer keys.
     """
     i, j = _as_pending_pair(state, pair)
     return _crossing_parameters(state.lines.hom, i, j)
@@ -192,11 +201,11 @@ def farey_order() -> Iterator[Fraction]:
                 yield Fraction(p, q)
 
 
-def choose_parameter(excluded: Iterable[Fraction]) -> Fraction:
-    """First parameter in Farey order not present in ``excluded``."""
-    banned = set(excluded)
+def choose_parameter(excluded: Container[Fraction]) -> Fraction:
+    """First parameter in Farey order not present in ``excluded``, found
+    by membership probes alone."""
     for t in farey_order():
-        if t not in banned:
+        if t not in excluded:
             return t
     raise ImpossibleStateError("unreachable: Farey order is infinite")
 
@@ -206,7 +215,7 @@ def insert_point(
     pair: Sequence[int],
     t: Fraction,
     *,
-    _excluded: set[Fraction] | None = None,
+    _excluded: Set[Fraction] | None = None,
 ) -> ConstructionState:
     """Insert a new point at parameter ``t`` on the pending ``pair``.
 

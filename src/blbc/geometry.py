@@ -99,11 +99,17 @@ def line_through(a: Point, b: Point) -> CanonicalLine:
     return _line_from_hom(_homogeneous(a), _homogeneous(b))
 
 
-def _check_parameter(t: Fraction) -> None:
-    """Refuse a segment parameter that is not a Fraction strictly inside
-    (0, 1); a float or int would carry inexact or mistyped coordinates."""
+def _require_fraction(t: object) -> None:
+    """Refuse a parameter that is not a Fraction; a float or int would
+    carry inexact or mistyped coordinates."""
     if not isinstance(t, Fraction):
         raise InputError(f"parameter must be a Fraction, got {t!r}")
+
+
+def _check_parameter(t: Fraction) -> None:
+    """Refuse a segment parameter that is not a Fraction strictly inside
+    (0, 1)."""
+    _require_fraction(t)
     if not 0 < t < 1:
         raise ParameterRangeError(f"parameter {t} is outside the open interval (0, 1)")
 

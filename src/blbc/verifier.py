@@ -162,9 +162,20 @@ def _check_trace_against_points(ps: PointSet, trace: Sequence[InsertionRecord]) 
         _check_record(rec, n, ps.point(n))
 
 
+def _require_record_ints(rec: InsertionRecord) -> None:
+    """Refuse a record whose point number, pair indices or excluded count
+    is not an int: the checks index and compare with them as given."""
+    _require_int(rec.n, "record point number")
+    i, j = rec.pair
+    for index in (i, j):
+        _require_int(index, f"index of record pair {rec.pair!r}")
+    _require_int(rec.excluded_count, "record excluded_count")
+
+
 def _check_record(rec: InsertionRecord, n: int, point: Point) -> None:
     """Raise ConsistencyError unless rec places ``point`` as point n on a
     pair of earlier points."""
+    _require_record_ints(rec)
     if rec.n != n:
         raise ConsistencyError(f"record {n - 4} inserts point {rec.n}, expected {n}")
     i, j = rec.pair
@@ -236,6 +247,7 @@ class _Engine:
         self.hom.append(h)
 
     def feed_record(self, rec: InsertionRecord) -> None:
+        _require_record_ints(rec)
         self.records += 1
         for name in self.checks:
             judge = CHECKS[name].judge

@@ -10,17 +10,21 @@ point by point for its pending pairs, while the verifier, the analyzer
 and the renderer each build their own, the visible pairs being the
 neighbours along each line.  The exclusion kernel behind
 `blocking_parameters` reads no line structure: it loops over pairs of
-points and their homogeneous coordinates.  A direct per-pair reference
-implementation of visibility is kept alongside as the oracle.
+points and their homogeneous coordinates, in integers only, and keys
+each crossing by one int made from its reduced numerator and
+denominator; an `ExclusionSet` shows those keys as a set of Fractions.
+A direct per-pair reference implementation of visibility is kept
+alongside as the oracle.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .clique import find_max_clique
@@ -30,6 +34,7 @@ from .geometry import (
     Point,
     _homogeneous,
     _line_from_hom,
+    _require_fraction,
     line_through,
     on_open_segment,
 )
@@ -445,16 +450,66 @@ def _assert_pairwise_visible(ps: PointSet, witness: list[int]) -> None:
                 )
 
 
-def blocking_parameters(ps: PointSet, i: int, j: int) -> set[Fraction]:
+def _key(num: int, den: int) -> int:
+    """The int that stands for the reduced t = num/den, 0 < num < den.
+
+    The keys of one den are the den - 1 ints after those of all smaller
+    dens, so no two such t share one.  An int key holds less memory than
+    a pair or a Fraction and is no container for the garbage collector.
+    """
+    return den * (den - 1) // 2 + num
+
+
+class ExclusionSet(Set):
+    """Read-only set of the parameters t in (0, 1) that one insertion
+    rules out, held as the `_key` ints of their reduced numerators and
+    denominators.
+
+    ``in`` takes a Fraction and looks up its key; iteration yields
+    Fractions.  Through the `Set` mixins it compares equal to the
+    ``set[Fraction]`` of the same parameters, in either operand order.
+    """
+
+    __slots__ = ("_keys",)
+
+    def __init__(self, keys: set[int]) -> None:
+        self._keys = keys
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __contains__(self, t: object) -> bool:
+        _require_fraction(t)
+        num, den = t.numerator, t.denominator
+        # keys stand only for t in (0, 1): 3/2 would share 1/3's
+        return 0 < num < den and _key(num, den) in self._keys
+
+    def __iter__(self) -> Iterator[Fraction]:
+        for key in self._keys:
+            # (2den - 1)² <= 8key - 7 < (2den + 1)² for each key of den
+            den = (1 + isqrt(8 * key - 7)) // 2
+            yield Fraction(key - den * (den - 1) // 2, den)
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[Fraction]) -> set[Fraction]:
+        # the & | - ^ mixins build their results here, from Fractions,
+        # which the constructor does not take: they are plain sets
+        return set(it)
+
+    def __repr__(self) -> str:
+        return f"ExclusionSet({len(self._keys)} parameters)"
+
+
+def blocking_parameters(ps: PointSet, i: int, j: int) -> ExclusionSet:
     """Parameters t in (0, 1) where a point placed at a + t*(b - a) on
     segment (p_i, p_j) would be collinear with some other pair of ps.
 
     Each line through two other points that misses both endpoints crosses
     the segment's interior in at most one point; the returned set collects
     the distinct crossing parameters, computed pair by pair from the
-    coordinates.  When the pair's own line carries no third point, placing
-    a new point at any t outside this set creates exactly one collinear
-    triple: {p_i, new, p_j}.
+    coordinates in integers.  When the pair's own line carries no third
+    point, placing a new point at any t outside this set creates exactly
+    one collinear triple: {p_i, new, p_j}.
     """
     ps.point(i)
     ps.point(j)
@@ -463,7 +518,7 @@ def blocking_parameters(ps: PointSet, i: int, j: int) -> set[Fraction]:
     return _crossing_parameters(ps.homogeneous(), i, j)
 
 
-def _crossing_parameters(hom: Sequence[tuple[int, int, int]], i: int, j: int) -> set[Fraction]:
+def _crossing_parameters(hom: Sequence[tuple[int, int, int]], i: int, j: int) -> ExclusionSet:
     """The exclusion kernel: parameters t in (0, 1) where the line through
     two points of ``hom`` crosses the open segment (p_i, p_j).
 
@@ -472,8 +527,11 @@ def _crossing_parameters(hom: Sequence[tuple[int, int, int]], i: int, j: int) ->
     of P_k from A, and ``fb`` likewise for B.  A zero means the line passes
     through that endpoint (or the pair contains it), and then meets the
     segment's line there alone; otherwise the line crosses the open
-    segment exactly when the signs differ.  The pairs of a line with three
-    points give the same t, which the set keeps once.
+    segment exactly when the signs differ, at
+    t = |fa|·wb² / (|fa|·wb² + |fb|·wa²).  Both terms are positive, so one
+    gcd reduces t to Fraction's own numerator and denominator, which
+    `_key` turns into t's key; the pairs of a line with three points give
+    the same key, kept once.
     """
     xa, ya, wa = hom[i - 1]
     xb, yb, wb = hom[j - 1]
@@ -481,14 +539,23 @@ def _crossing_parameters(hom: Sequence[tuple[int, int, int]], i: int, j: int) ->
     d = [(x * wa - xa * w, y * wa - ya * w, x * wb - xb * w, y * wb - yb * w)
          for x, y, w in hom]
     wa2, wb2 = wa * wa, wb * wb
-    out: set[Fraction] = set()
+    keys: set[int] = set()
+    add = keys.add
     for m, (amx, amy, bmx, bmy) in enumerate(d, start=1):
         for arx, ary, brx, bry in d[m:]:
             fa = amx * ary - amy * arx
-            fb = bmx * bry - bmy * brx
-            if (fa > 0 and fb < 0) or (fa < 0 and fb > 0):
-                # fa·wb² / (fa·wb² − fb·wa²) is La·wb / (La·wb − Lb·wa) for
-                # the line's coefficients L
+            # |fa|, and fb with the sign flipped when fa > 0: the signs
+            # differ exactly when that fb is positive
+            if fa > 0:
+                fb = bmy * brx - bmx * bry
+            elif fa < 0:
+                fa = -fa
+                fb = bmx * bry - bmy * brx
+            else:
+                continue
+            if fb > 0:
                 u = fa * wb2
-                out.add(Fraction(u, u - fb * wa2))
-    return out
+                v = u + fb * wa2
+                g = gcd(u, v)
+                add(_key(u // g, v // g))
+    return ExclusionSet(keys)

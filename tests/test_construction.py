@@ -1,6 +1,7 @@
 import itertools
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -29,7 +30,14 @@ from blbc.errors import (
     SeedError,
 )
 from blbc.geometry import Point, line_through, on_open_segment
-from blbc.visibility import LineIncidenceMap, is_visible
+from blbc.visibility import (
+    ExclusionSet,
+    LineIncidenceMap,
+    PointSet,
+    _key,
+    blocking_parameters,
+    is_visible,
+)
 
 F = Fraction
 
@@ -253,6 +261,20 @@ def test_choose_parameter_never_returns_excluded():
     t = choose_parameter(excluded)
     assert t not in excluded
     assert 0 < t < 1
+
+
+class UniterableExclusionSet(ExclusionSet):
+    def __iter__(self):
+        raise AssertionError("the exclusion set was iterated")
+
+
+def exclusion_set(*fractions):
+    return ExclusionSet({_key(t.numerator, t.denominator) for t in fractions})
+
+
+def test_choose_parameter_probes_without_copying():
+    excluded = UniterableExclusionSet({_key(1, 2), _key(1, 3)})
+    assert choose_parameter(excluded) == F(2, 3)
 
 
 # insertion
@@ -490,3 +512,70 @@ def test_kernel_ignores_a_tampered_map(tamper):
     state, key, members = tampered_state()
     pair = tamper(state, key, members)
     assert excluded_parameters(state, pair) == reference_exclusions(state.points, *pair)
+
+
+# the exclusion set
+
+
+def test_exclusion_set_equals_the_fraction_set():
+    fractions = {F(1, 2), F(1, 3), F(5, 8)}
+    excluded = exclusion_set(*fractions)
+    assert len(excluded) == 3
+    assert excluded == fractions
+    assert fractions == excluded
+    assert excluded != {F(1, 2), F(1, 3)}
+    assert {F(1, 2), F(1, 3), F(3, 8)} != excluded
+    assert F(5, 8) in excluded and F(3, 8) not in excluded
+    assert set(excluded) == fractions
+    assert excluded - {F(1, 2)} == {F(1, 3), F(5, 8)}
+
+
+@pytest.mark.parametrize("t", [0.5, 1, True, "1/2", (1, 2)])
+def test_exclusion_set_membership_refuses_a_non_fraction(t):
+    # 0.5 == Fraction(1, 2), so a float probe would be decided inexactly
+    with pytest.raises(InputError, match="parameter must be a Fraction"):
+        t in exclusion_set(F(1, 2))
+
+
+def test_exclusion_keys_are_distinct_and_decode():
+    fractions = [F(p, q) for q in range(2, 60) for p in range(1, q) if gcd(p, q) == 1]
+    fractions += [F(2**200 + 1, 2**201), F(3**150, 2**240 + 1)]
+    excluded = exclusion_set(*fractions)
+    assert len(excluded) == len(fractions)
+    assert sorted(excluded) == sorted(fractions)
+    assert all(t in excluded for t in fractions)
+
+
+@pytest.mark.parametrize("t", [F(3, 2), F(4, 3), F(0), F(1), F(-1, 3), F(-2, 3)])
+def test_exclusion_set_holds_no_parameter_outside_the_open_interval(t):
+    # 3/2 and 4/3 would share the keys of 1/3 and 1/4
+    excluded = exclusion_set(*(F(p, q) for q in range(2, 9) for p in range(1, q)))
+    assert t not in excluded
+
+
+def test_two_lines_crossing_at_one_parameter_count_once():
+    # x = 2 and the line through (1, 1) and (3, -1) both cross the segment
+    # from (0, 0) to (4, 0) at (2, 0); the other two crossing pairs give
+    # 3/8 and 5/8
+    points = [(0, 0), (4, 0), (2, 1), (2, -1), (1, 1), (3, -1)]
+    excluded = blocking_parameters(PointSet(points), 1, 2)
+    assert len(excluded) == 3
+    assert excluded == {F(1, 2), F(3, 8), F(5, 8)}
+    assert excluded == reference_exclusions(PointSet(points).points, 1, 2)
+
+
+def test_wide_keys_beyond_64_bits_match_reference():
+    # crossing parameters are affine-invariant, so an affine image of the
+    # default seed (WIDE_SEED) keeps its small keys; wide keys need wide
+    # points in general position
+    rng = random.Random(5)
+    wide = [(F(rng.getrandbits(40), rng.getrandbits(30) | 1),
+             F(rng.getrandbits(40), rng.getrandbits(30) | 1)) for _ in range(12)]
+    state = state_from_points(wide)
+    while state.n < 16:
+        pair = select_ordinary_pair(state)
+        excluded = excluded_parameters(state, pair)
+        assert max(t.denominator.bit_length() for t in excluded) > 64
+        assert excluded == reference_exclusions(state.points, *pair)
+        assert reference_exclusions(state.points, *pair) == excluded
+        insert_point(state, pair, choose_parameter(excluded), _excluded=excluded)

@@ -6,6 +6,9 @@ or rename there would otherwise surface only when the benchmark runs.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import blbc
@@ -118,3 +121,19 @@ def test_benchmark_uses_only_names_that_resolve():
             assert hasattr(obj, name), "blbc." + ".".join(chain)
             obj = getattr(obj, name)
         assert chain[0] in blbc.__all__, chain[0]
+
+
+def test_import_loads_no_numpy():
+    # numpy alone costs over 10 MiB of peak RSS, far past the benchmark's
+    # 0.1 bound on it, so nothing the package or its CLI imports may pull
+    # it in
+    src = str(Path(blbc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, blbc, blbc.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

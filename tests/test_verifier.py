@@ -804,3 +804,32 @@ def test_thresholds_must_be_ints(call):
     # a fractional threshold or count would be compared as given
     with pytest.raises(InputError, match="must be int"):
         call()
+
+
+# record fields are checked, not trusted
+
+
+def trace_with(point, **fields):
+    """A 6-point run's trace with the record of ``point`` given ``fields``."""
+    ps, trace, _ = golden(6)
+    return ps, [dataclasses.replace(rec, **fields) if rec.n == point else rec
+                for rec in trace]
+
+
+def test_exclusion_bound_refuses_a_float_point_number():
+    _, trace = trace_with(4, n=4.0)
+    with pytest.raises(InputError, match="record point number must be int"):
+        verify_exclusion_bound(trace)
+
+
+def test_unique_triple_refuses_a_float_pair_index():
+    ps, trace = trace_with(4, pair=OrdinaryPair(1.0, 2))
+    with pytest.raises(InputError, match="must be int"):
+        verify_unique_triple_at_insertion(trace, ps)
+
+
+def test_exclusion_bound_refuses_a_bool_excluded_count():
+    # True would be judged as 1, within the bound C(2, 2) = 1 at point 5
+    _, trace = trace_with(5, excluded_count=True)
+    with pytest.raises(InputError, match="record excluded_count must be int"):
+        verify_exclusion_bound(trace)
