@@ -1,10 +1,14 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
 import pytest
 
 from blbc.clique import find_max_clique
+from blbc.construction import DEFAULT_SEED, generate
 from blbc.errors import InputError
+from blbc.visibility import PointSet, build_visibility_graph
 
 
 def adjacency_from_edges(vertices, edges):
@@ -125,3 +129,34 @@ def test_self_loop_rejected():
 def test_bad_cap_rejected():
     with pytest.raises(InputError):
         find_max_clique([1], {1: set()}, cap=0)
+
+
+def witness_family():
+    """Fixed (vertices, adjacency, cap) inputs whose witnesses are pinned."""
+    rng = random.Random(20261018)
+    for n in (1, 2, 5, 10, 20, 30, 40):
+        for density in (0.2, 0.5, 0.8):
+            ids = rng.sample(range(1, 1000), n)  # sparse ids exercise the id tie-break
+            edges = [e for e in combinations(ids, 2) if rng.random() < density]
+            adj = adjacency_from_edges(ids, edges)
+            for cap in (None, 1, 2, 3, 4, 5, 6):
+                yield ids, adj, cap
+    asymmetric = {1: {2, 3, 4}, 2: {1, 3}, 3: {1, 2, 4, 5}, 4: {3}, 5: {3, 4}}
+    yield range(1, 6), asymmetric, None
+    outside = {2: {4, 6, 7, 9}, 4: {2, 6, 1}, 6: {2, 4, 8, 11}, 8: {6, 3, 5, 7}}
+    yield [2, 4, 6, 8], outside, None
+    for side in range(2, 9):
+        lattice = PointSet([(x, y) for y in range(side) for x in range(side)])
+        graph = build_visibility_graph(lattice)
+        yield range(1, graph.n + 1), graph.adjacency(), None
+    graph = build_visibility_graph(generate(DEFAULT_SEED, 120).point_set())
+    for cap in (4, 5, 50, None):
+        yield range(1, graph.n + 1), graph.adjacency(), cap
+
+
+def test_witnesses_are_pinned():
+    # Every witness, not just its size: the walk's order decides which
+    # maximum clique comes back, and the CLI prints it.
+    out = [find_max_clique(v, adj, cap=cap) for v, adj, cap in witness_family()]
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "69f07f16b78fcf4950955dd8dc7a2d23771aa83ff05e769b43dfc07c0311f27a"
