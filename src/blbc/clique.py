@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InputError, _require_int
-
-
-class _CapReached(Exception):
-    pass
 
 
 def find_max_clique(
@@ -18,12 +14,16 @@ def find_max_clique(
 ) -> list[int]:
     """Largest clique as an ascending vertex list.
 
-    The search is Bron-Kerbosch with a pivot plus an incumbent-size bound,
-    fully deterministic for a fixed input: vertices are explored in
-    descending-degree order with ties broken by ascending vertex id.  With
-    ``cap`` set, the search stops as soon as any clique of that size exists
-    and returns exactly ``cap`` vertices, so callers that only need to know
-    whether a threshold is reached avoid the full maximum computation.
+    Bron-Kerbosch with a pivot, deterministic for a fixed input.  Bit r of
+    each int set is the vertex of rank r, by descending degree (distinct
+    listed neighbours) then ascending id; neighbours outside ``vertices``
+    get no bit.  The pivot is the first vertex of ``cand | excl`` with the
+    most neighbours in ``cand``; the branches are its non-neighbours in
+    ``cand``, in ascending bit order.  A node whose clique plus ``cand``
+    cannot beat the incumbent is pruned.  The walk keeps an explicit stack
+    of ``[cand, excl, branch]`` frames, one per clique vertex plus the
+    root, so a deep clique needs no recursion.  With ``cap`` set, the
+    search stops at the first clique of that size and returns it.
     """
     if cap is not None:
         _require_int(cap, "clique size cap")
@@ -33,42 +33,37 @@ def find_max_clique(
     if any(v in nbrs for v, nbrs in adj.items()):
         raise InputError("adjacency contains a self-loop")
     order = sorted(adj, key=lambda v: (-len(adj[v]), v))
-    rank = {v: r for r, v in enumerate(order)}
+    bit = {v: 1 << r for r, v in enumerate(order)}
+    nbr = [sum(bit[w] for w in adj[v] if w in bit) for v in order]
     best: list[int] = []
-
-    def expand(clique: list[int], cand: list[int], excl: list[int]) -> None:
-        nonlocal best
+    clique: list[int] = []
+    stack: list[list[int]] = []
+    cand, excl = (1 << len(order)) - 1, 0
+    while True:
         if not cand and not excl:
             if len(clique) > len(best):
                 best = sorted(clique)
-            return
-        if len(clique) + len(cand) <= len(best):
-            return
-        pivot = None
-        pivot_cover = -1
-        for u in sorted(cand + excl, key=rank.__getitem__):
-            cover = sum(1 for w in cand if w in adj[u])
-            if cover > pivot_cover:
-                pivot, pivot_cover = u, cover
-        cand = list(cand)
-        excl = list(excl)
-        for v in [w for w in cand if w not in adj[pivot]]:
-            clique.append(v)
-            if cap is not None and len(clique) >= cap:
-                best = sorted(clique)
-                raise _CapReached
-            nbrs = adj[v]
-            expand(
-                clique,
-                [w for w in cand if w in nbrs],
-                [w for w in excl if w in nbrs],
-            )
-            clique.pop()
-            cand.remove(v)
-            excl.append(v)
+        elif len(clique) + cand.bit_count() > len(best):
+            pivot = max(_ranks(cand | excl), key=lambda r: (cand & nbr[r]).bit_count())
+            stack.append([cand, excl, cand & ~nbr[pivot]])
+        while stack and not stack[-1][2]:
+            stack.pop()
+        if not stack:
+            return best
+        del clique[len(stack) - 1 :]
+        cand, excl, branch = stack[-1]
+        low = branch & -branch
+        stack[-1] = [cand ^ low, excl | low, branch ^ low]
+        r = low.bit_length() - 1
+        clique.append(order[r])
+        if len(clique) == cap:
+            return sorted(clique)
+        cand, excl = cand & nbr[r], excl & nbr[r]
 
-    try:
-        expand([], order, [])
-    except _CapReached:
-        pass
-    return best
+
+def _ranks(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1

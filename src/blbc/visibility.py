@@ -235,27 +235,23 @@ class LineIncidenceMap:
 class VisibilityGraph:
     """Undirected graph of mutually visible index pairs of a point set."""
 
-    __slots__ = ("n", "edges", "_edge_set", "_adj")
+    __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
-        normalized = {(i, j) if i < j else (j, i) for i, j in edges}
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(normalized))
-        self._edge_set = normalized
         adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-        for i, j in self.edges:
+        for i, j in edges:
+            _require_int(i, "vertex index")
+            _require_int(j, "vertex index")
+            if not 1 <= i != j <= n:
+                raise InputError(f"edge ({i}, {j}) needs distinct vertices in 1..{n}")
             adj[i].add(j)
             adj[j].add(i)
+        self.edges = tuple((i, j) for i in adj for j in sorted(adj[i]) if i < j)
         self._adj = adj
 
     def has_edge(self, i: int, j: int) -> bool:
-        return ((i, j) if i < j else (j, i)) in self._edge_set
-
-    def neighbors(self, i: int) -> frozenset[int]:
-        return frozenset(self._adj[i])
-
-    def degree(self, i: int) -> int:
-        return len(self._adj[i])
+        return j in self._adj.get(i, ())
 
     def adjacency(self) -> dict[int, set[int]]:
         """Copy of the adjacency structure keyed by 1-based vertex."""
@@ -264,10 +260,6 @@ class VisibilityGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def to_edge_list(self) -> list[list[int]]:
-        """Sorted JSON-ready edge list of index pairs."""
-        return [[i, j] for i, j in self.edges]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VisibilityGraph):
@@ -441,12 +433,24 @@ def _assert_collinear(ps: PointSet, witness: list[int]) -> None:
 
 
 def _assert_pairwise_visible(ps: PointSet, witness: list[int]) -> None:
-    for a in range(len(witness)):
-        for b in range(a + 1, len(witness)):
-            if not is_visible(witness[a], witness[b], ps):
+    """From a, b is visible exactly when it is the nearest point of ps on
+    the ray from a through b: one pass over ps per witness vertex."""
+    hom = ps.homogeneous()
+    for pos, a in enumerate(witness):
+        xa, ya, wa = hom[a - 1]
+        nearest: dict[tuple[int, int], list[int]] = {}
+        for p, (x, y, w) in enumerate(hom, start=1):
+            dx, dy = x * wa - xa * w, y * wa - ya * w
+            g = gcd(dx, dy)
+            if g:  # p - a is g / (wa * w) steps of the primitive ray
+                near = nearest.setdefault((dx // g, dy // g), [g, w, p])
+                if g * near[1] < near[0] * w:
+                    near[:] = g, w, p
+        visible = {p for _, _, p in nearest.values()}
+        for b in witness[pos + 1 :]:
+            if b not in visible:
                 raise ImpossibleStateError(
-                    f"clique witness {witness} has an invisible pair "
-                    f"({witness[a]}, {witness[b]})"
+                    f"clique witness {witness} has an invisible pair ({a}, {b})"
                 )
 
 

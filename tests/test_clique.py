@@ -121,6 +121,13 @@ def test_cap_reports_min_of_cap_and_maximum():
             assert all(b in adj[a] for a, b in combinations(got, 2))
 
 
+def test_deep_clique_needs_no_recursion():
+    verts = range(1, 1101)
+    adj = {v: set(verts) - {v} for v in verts}
+    assert find_max_clique(verts, adj) == list(verts)
+    assert find_max_clique(verts, adj, cap=1050) == list(range(1, 1051))
+
+
 def test_self_loop_rejected():
     with pytest.raises(InputError):
         find_max_clique([1, 2], {1: {1, 2}, 2: {1}})

@@ -6,13 +6,14 @@ from math import comb
 import pytest
 
 from blbc.construction import DEFAULT_SEED, generate
-from blbc.errors import DuplicatePointError, InputError
+from blbc.errors import DuplicatePointError, ImpossibleStateError, InputError
 from blbc.geometry import Point, line_through
 from blbc.visibility import (
     BlbcOutcome,
     LineIncidenceMap,
     PointSet,
     VisibilityGraph,
+    _assert_pairwise_visible,
     blocking_parameters,
     build_visibility_graph,
     build_visibility_graph_naive,
@@ -216,15 +217,34 @@ def test_inserting_blocker_removes_edge():
 def test_visibility_graph_interface():
     graph = VisibilityGraph(3, [(2, 1), (2, 3)])
     assert graph.edges == ((1, 2), (2, 3))
-    assert graph.to_edge_list() == [[1, 2], [2, 3]]
+    assert [list(e) for e in graph.edges] == [[1, 2], [2, 3]]
     assert graph.has_edge(1, 2) and graph.has_edge(2, 1)
     assert not graph.has_edge(1, 3)
-    assert graph.neighbors(2) == {1, 3}
-    assert graph.degree(2) == 2 and graph.degree(1) == 1
+    assert graph.adjacency()[2] == {1, 3}
+    assert len(graph.adjacency()[2]) == 2 and len(graph.adjacency()[1]) == 1
     assert graph.edge_count == 2
     adj = graph.adjacency()
     adj[1].add(99)  # a copy, not a view
-    assert graph.neighbors(1) == {2}
+    assert graph.adjacency()[1] == {2}
+
+
+@pytest.mark.parametrize("edge", [(1, 5), (0, 1), (2, 2), (1.0, 2)])
+def test_visibility_graph_refuses_bad_edges(edge):
+    with pytest.raises(InputError):
+        VisibilityGraph(3, [edge])
+
+
+def test_clique_witness_check_matches_is_visible():
+    rng = random.Random(11)
+    for _ in range(30):
+        ps = random_point_set(rng, rng.randint(3, 12), pool=1)  # 8 of 30 blocked
+        witness = sorted(rng.sample(range(1, ps.n + 1), rng.randint(2, min(5, ps.n))))
+        ok = all(is_visible(a, b, ps) for a, b in combinations(witness, 2))
+        if ok:
+            _assert_pairwise_visible(ps, witness)
+        else:
+            with pytest.raises(ImpossibleStateError, match="invisible pair"):
+                _assert_pairwise_visible(ps, witness)
 
 
 # max_collinear / max_visible_clique
