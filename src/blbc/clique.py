@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import InputError, _require_int
 
@@ -44,7 +44,12 @@ def find_max_clique(
             if len(clique) > len(best):
                 best = sorted(clique)
         elif len(clique) + cand.bit_count() > len(best):
-            pivot = max(_ranks(cand | excl), key=lambda r: (cand & nbr[r]).bit_count())
+            pivot, cover, rest = 0, -1, cand | excl
+            while rest:
+                r = (rest & -rest).bit_length() - 1
+                rest ^= 1 << r
+                if (cand & nbr[r]).bit_count() > cover:
+                    pivot, cover = r, (cand & nbr[r]).bit_count()
             stack.append([cand, excl, cand & ~nbr[pivot]])
         while stack and not stack[-1][2]:
             stack.pop()
@@ -60,10 +65,3 @@ def find_max_clique(
             return sorted(clique)
         cand, excl = cand & nbr[r], excl & nbr[r]
 
-
-def _ranks(mask: int) -> Iterator[int]:
-    """The set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1

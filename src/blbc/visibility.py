@@ -239,15 +239,18 @@ class VisibilityGraph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
-        adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+        normalized = set()
         for i, j in edges:
             _require_int(i, "vertex index")
             _require_int(j, "vertex index")
             if not 1 <= i != j <= n:
                 raise InputError(f"edge ({i}, {j}) needs distinct vertices in 1..{n}")
+            normalized.add((i, j) if i < j else (j, i))
+        self.edges = tuple(sorted(normalized))
+        adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+        for i, j in self.edges:
             adj[i].add(j)
             adj[j].add(i)
-        self.edges = tuple((i, j) for i in adj for j in sorted(adj[i]) if i < j)
         self._adj = adj
 
     def has_edge(self, i: int, j: int) -> bool:
@@ -433,8 +436,7 @@ def _assert_collinear(ps: PointSet, witness: list[int]) -> None:
 
 
 def _assert_pairwise_visible(ps: PointSet, witness: list[int]) -> None:
-    """From a, b is visible exactly when it is the nearest point of ps on
-    the ray from a through b: one pass over ps per witness vertex."""
+    """From a, b is visible iff it is the nearest point of ps on its ray."""
     hom = ps.homogeneous()
     for pos, a in enumerate(witness):
         xa, ya, wa = hom[a - 1]
