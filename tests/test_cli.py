@@ -254,6 +254,10 @@ def test_output_bytes_are_pinned(tmp_path, capsys):
          "2393ed72f6b27b806bf30b5a3e6c7ebe7a2c3fb6e8a7e49d4aacffc67fabb051"),
         (str(points), "collinear",
          "8d674ccdc38980ec3549c6485c332e7830271869852dcc5ec5670914d75a1f1b"),
+        (lattice, "none",
+         "e72aa15c6f80cefd72220fc55167206154358e4da7cf5eeee4808aa8838563d8"),
+        (str(points), "none",
+         "a95831ba4a3a9e1489c1b06b9b2f03e8ad9ddc276d825bbb70882e827c4db2c7"),
     ]
     for path, edges, digest in renders:
         argv = ["render", "--points", path, "--out", str(svg), "--edges", edges]
