@@ -28,16 +28,16 @@ def _num(value: Fraction) -> str:
     return text if text != "-0" else "0"
 
 
-def _segments(ps: PointSet, edges: str) -> list[tuple[int, int]]:
+def _segments(ps: PointSet, edges: str) -> tuple[tuple[int, int], ...]:
     """Index pairs of the segments to draw."""
     if edges == "none" or ps.n < 2:
-        return []
+        return ()
     if edges == "visibility":
-        return list(build_visibility_graph(ps).edges)
+        return build_visibility_graph(ps).edges
     # collinear: one segment per line carrying >= 3 points, across its
     # extremes, in line order
     along = _ordered_lines(ps).along.values()
-    return [(order[0], order[-1]) for _, order in sorted(along)]
+    return tuple((order[0], order[-1]) for _, order in sorted(along))
 
 
 def render_svg(ps: PointSet, edges: str = "none") -> str:
@@ -90,5 +90,5 @@ def render_svg(ps: PointSet, edges: str = "none") -> str:
             f'    <text x="{_num(p.x + offset)}" y="{_num(-(p.y + offset))}">{idx}</text>'
         )
     out.append("  </g>")
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")
+    return "\n".join(out)

@@ -233,11 +233,14 @@ class LineIncidenceMap:
 
 
 class VisibilityGraph:
-    """Undirected graph of mutually visible index pairs of a point set."""
+    """Visible index pairs of a point set, held only as ascending ``edges``."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        _require_int(n, "vertex count")
+        if n < 0:
+            raise InputError(f"vertex count must be >= 0, got {n}")
         self.n = n
         normalized = set()
         for i, j in edges:
@@ -247,18 +250,14 @@ class VisibilityGraph:
                 raise InputError(f"edge ({i}, {j}) needs distinct vertices in 1..{n}")
             normalized.add((i, j) if i < j else (j, i))
         self.edges = tuple(sorted(normalized))
-        adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+
+    def adjacency(self) -> dict[int, set[int]]:
+        """Fresh neighbour sets keyed by 1-based vertex, built from ``edges``."""
+        adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
         for i, j in self.edges:
             adj[i].add(j)
             adj[j].add(i)
-        self._adj = adj
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self._adj.get(i, ())
-
-    def adjacency(self) -> dict[int, set[int]]:
-        """Copy of the adjacency structure keyed by 1-based vertex."""
-        return {v: set(nbrs) for v, nbrs in self._adj.items()}
+        return adj
 
     @property
     def edge_count(self) -> int:

@@ -235,17 +235,18 @@ def test_criterion_6_blocking_monotonicity():
                 blocker = segment_param_point(ps.point(i), ps.point(j), t)
                 extended = PointSet(list(ps.points) + [blocker])
                 rebuilt = build_visibility_graph(extended)
+                rebuilt_edges = set(rebuilt.edges)
 
                 new_vertex = extended.n
                 old_edges = set(graph.edges)
                 kept = {
                     (a, b) for a, b in rebuilt.edges if b != new_vertex
                 }
-                assert not rebuilt.has_edge(i, j)
+                assert (i, j) not in rebuilt_edges
                 assert kept == old_edges - {(i, j)}
                 # the new point's own edges, validated independently
                 for v in range(1, new_vertex):
-                    assert rebuilt.has_edge(v, new_vertex) == is_visible(
+                    assert ((v, new_vertex) in rebuilt_edges) == is_visible(
                         v, new_vertex, extended
                     )
         assert cases == 100

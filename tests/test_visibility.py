@@ -178,8 +178,9 @@ def test_grid_visibility_graph():
     assert naive == fast
     assert fast.edge_count == 28
     blocked = {(1, 3), (1, 7), (1, 9), (2, 8), (3, 7), (3, 9), (4, 6), (7, 9)}
+    edges = set(fast.edges)
     for i, j in combinations(range(1, 10), 2):
-        assert fast.has_edge(i, j) == ((i, j) not in blocked)
+        assert ((i, j) in edges) == ((i, j) not in blocked)
 
 
 def test_builders_agree_on_random_sets():
@@ -193,9 +194,9 @@ def test_graph_edges_match_pairwise_predicate():
     rng = random.Random(12)
     for _ in range(15):
         ps = random_point_set(rng, rng.randint(2, 9))
-        graph = build_visibility_graph(ps)
+        edges = set(build_visibility_graph(ps).edges)
         for i, j in combinations(range(1, ps.n + 1), 2):
-            assert graph.has_edge(i, j) == is_visible(i, j, ps)
+            assert ((i, j) in edges) == is_visible(i, j, ps)
 
 
 def test_general_position_graph_is_complete():
@@ -207,24 +208,25 @@ def test_general_position_graph_is_complete():
 
 def test_inserting_blocker_removes_edge():
     ps = PointSet([(0, 0), (2, 2), (5, 0)])
-    assert build_visibility_graph(ps).has_edge(1, 2)
+    assert (1, 2) in set(build_visibility_graph(ps).edges)
     extended = PointSet(list(ps.points) + [Point(Fraction(1), Fraction(1))])
-    graph = build_visibility_graph(extended)
-    assert not graph.has_edge(1, 2)
-    assert graph.has_edge(1, 4) and graph.has_edge(2, 4)
+    edges = set(build_visibility_graph(extended).edges)
+    assert (1, 2) not in edges
+    assert (1, 4) in edges and (2, 4) in edges
 
 
 def test_visibility_graph_interface():
     graph = VisibilityGraph(3, [(2, 1), (2, 3)])
     assert graph.edges == ((1, 2), (2, 3))
     assert [list(e) for e in graph.edges] == [[1, 2], [2, 3]]
-    assert graph.has_edge(1, 2) and graph.has_edge(2, 1)
-    assert not graph.has_edge(1, 3)
+    edges = set(graph.edges)
+    assert (1, 2) in edges
+    assert (1, 3) not in edges
     assert graph.adjacency()[2] == {1, 3}
     assert len(graph.adjacency()[2]) == 2 and len(graph.adjacency()[1]) == 1
     assert graph.edge_count == 2
     adj = graph.adjacency()
-    adj[1].add(99)  # a copy, not a view
+    adj[1].add(99)  # fresh sets, not a view
     assert graph.adjacency()[1] == {2}
 
 
@@ -232,6 +234,12 @@ def test_visibility_graph_interface():
 def test_visibility_graph_refuses_bad_edges(edge):
     with pytest.raises(InputError):
         VisibilityGraph(3, [edge])
+
+
+def test_visibility_graph_refuses_bad_vertex_count():
+    for n, edges in [(2.5, [(1, 2)]), ("3", []), (True, []), (-2, [])]:
+        with pytest.raises(InputError):
+            VisibilityGraph(n, edges)
 
 
 def test_clique_witness_check_matches_is_visible():
