@@ -8,6 +8,7 @@ import pytest
 from blbc.cli import main
 from blbc.construction import DEFAULT_SEED, generate
 from blbc.fileformat import PointFile, serialize_point_file
+from test_construction import WIDE_SEED
 
 POINTS_6_GOLDEN = (
     "{\n"
@@ -223,6 +224,16 @@ def test_output_bytes_are_pinned(tmp_path, capsys):
         (points, "41f6d16f4ad3dad49cb868b11017a4f5d3cae47da88a9492fc3ccf3ec7272eb3"),
         (trace, "5b835f2ec1361bd29aedc479f5ab372a2a99c0648e69a7777ade7f60c5067f94"),
     ]
+    # a wide seed: the construction's bytes in raw coordinates, which no
+    # default-seed digest can tell apart from its frame
+    seed = write_points(tmp_path / "wide_seed.json", WIDE_SEED)
+    wide, wide_trace = tmp_path / "w120.json", tmp_path / "wt120.json"
+    assert main(["generate", "--count", "120", "--seed-file", seed,
+                 "--out", str(wide), "--trace-out", str(wide_trace)]) == 0
+    written += [
+        (wide, "7acf9bf1b95f659e0eb3e7b5c79fa7eaeccbc987b89e7a714850b9d9057bbab0"),
+        (wide_trace, "3bb7797c1e09d5e04dccc3080401eab819fcd323725ccd4a3c4612b90655650f"),
+    ]
     for path, digest in written:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path
     bad = write_points(tmp_path / "bad.json", [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])
@@ -230,6 +241,9 @@ def test_output_bytes_are_pinned(tmp_path, capsys):
                            [(x, y) for y in range(6) for x in range(6)])
     cases = [
         (["verify", "--points", str(points), "--trace", str(trace)], 0,
+         "4828677d728442c876c75711beb4a956d138b26e737cebd969e7f12e91bf74d5"),
+        # the reports count lines and pairs, which an affine map keeps
+        (["verify", "--points", str(wide), "--trace", str(wide_trace)], 0,
          "4828677d728442c876c75711beb4a956d138b26e737cebd969e7f12e91bf74d5"),
         (["verify", "--points", bad,
           "--checks", "no4collinear,visiblepairlemma,trianglepending"], 1,
