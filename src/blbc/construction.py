@@ -9,6 +9,11 @@ parameter t for the new point is the first value in Farey order (1/2,
 points, so the new point is collinear with exactly the pair it blocks.
 The number of excluded parameters is at most C(n-3, 2) when inserting
 point n, so a fresh parameter always exists.
+
+Every choice above is affine-invariant, so a run from a seed keeps its
+line structure in the seed's frame, where the seed is (0,0), (1,0),
+(0,1): the exclusion kernel then multiplies the frame's small integers,
+however many bits the seed's raw coordinates carry.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .geometry import (
     Orientation,
     Point,
     _check_parameter,
-    _homogeneous,
     orientation,
     segment_param_point,
 )
@@ -88,11 +92,16 @@ class InsertionRecord:
 class ConstructionState:
     """Mutable construction state.
 
-    ``points`` is 1-indexed via :meth:`point`; ``lines`` is the incidence
-    map over them, grown one point per insertion, and its cursor tracks
-    the least pending pair; ``pending`` is its ``two_point`` set, exactly
-    the pairs whose line carries two points; ``trace`` records every
-    insertion so far.
+    ``points`` holds the raw points, 1-indexed via :meth:`point`.
+    ``lines`` is the incidence map over the same points in a frame: its
+    ``hom`` holds their coordinates in the affine frame of the seed, in
+    which the seed is (0,0), (1,0), (0,1), or the raw ones for a state
+    adopted by `state_from_points`.  Collinearity, and so every key,
+    pair and index of the map, is the same in either frame; its lines
+    are the frame's.  The map grows one point per insertion, and its
+    cursor tracks the least pending pair; ``pending`` is its
+    ``two_point`` set, exactly the pairs whose line carries two points;
+    ``trace`` records every insertion so far.
     """
 
     __slots__ = ("points", "lines", "trace")
@@ -126,7 +135,11 @@ class ConstructionState:
 
 
 def init_state(seed: Sequence[Sequence] = DEFAULT_SEED) -> ConstructionState:
-    """Fresh state over a seed triple; its three pairs are all pending."""
+    """Fresh state over a seed triple; its three pairs are all pending.
+
+    ``points`` holds the seed as given; the map holds it in its own frame,
+    as (0,0), (1,0), (0,1).
+    """
     pts = [_coerce_point(raw, pos) for pos, raw in enumerate(seed, start=1)]
     if len(pts) != 3:
         raise SeedError(f"seed must contain exactly 3 points, got {len(pts)}")
@@ -136,13 +149,14 @@ def init_state(seed: Sequence[Sequence] = DEFAULT_SEED) -> ConstructionState:
                 raise SeedError(f"seed points {a + 1} and {b + 1} are both {pts[a]}")
     if orientation(*pts) is Orientation.COLLINEAR:
         raise SeedError(f"seed points are collinear: {pts[0]}, {pts[1]}, {pts[2]}")
-    lines = LineIncidenceMap([_homogeneous(p) for p in pts]).advance(3)
+    lines = LineIncidenceMap([(0, 0, 1), (1, 0, 1), (0, 1, 1)]).advance(3)
     return ConstructionState(pts, lines, [])
 
 
 def state_from_points(points: Iterable[Sequence]) -> ConstructionState:
     """Adopt an existing configuration (distinct, no 4 collinear) so that
-    insertion and analysis operate on it; its trace starts empty."""
+    insertion and analysis operate on it; its trace starts empty.  The
+    map's frame is the raw coordinates themselves."""
     ps = PointSet(points)
     if ps.n < 3:
         raise InputError(f"a construction state needs >= 3 points, got {ps.n}")
@@ -185,9 +199,11 @@ def excluded_parameters(state: ConstructionState, pair: Sequence[int]) -> Exclus
     """Parameters t in (0, 1) ruled out for inserting on ``pair``: values
     where the new point would land on a line spanned by other points.
 
-    Same kernel as `blocking_parameters`, run on the state's homogeneous
-    coordinates pair by pair in integers; it reads none of the map's
-    lines.  The result is an `ExclusionSet` of reduced integer keys.
+    Same kernel as `blocking_parameters`, run pair by pair in integers on
+    the homogeneous coordinates of the map's frame, not on the raw
+    points: crossing parameters are affine-invariant.  It reads none of
+    the map's lines.  The result is an `ExclusionSet` of reduced integer
+    keys.
     """
     i, j = _as_pending_pair(state, pair)
     return _crossing_parameters(state.lines.hom, i, j)
@@ -224,6 +240,11 @@ def insert_point(
     becomes pending.  Mutates and returns ``state``; the step's record is
     ``state.trace[-1]``.  ``_excluded`` lets a caller that already
     computed the exclusion set skip recomputing it.
+
+    ``points`` gets the raw point p_i + t·(p_j − p_i).  The map gets the
+    same combination of the endpoints' frame coordinates, exactly, in
+    homogeneous integers: with t = p/q, (q − p)·w_j·(x_i, y_i) +
+    p·w_i·(x_j, y_j) over q·w_i·w_j, reduced.
     """
     pair = _as_pending_pair(state, pair)
     i, j = pair
@@ -245,7 +266,13 @@ def insert_point(
 
     new_point = segment_param_point(state.point(i), state.point(j), t)
     state.points.append(new_point)
-    state.lines.hom.append(_homogeneous(new_point))
+    hom = state.lines.hom
+    xa, ya, wa = hom[i - 1]
+    xb, yb, wb = hom[j - 1]
+    u, v = (t.denominator - t.numerator) * wb, t.numerator * wa
+    x, y, w = u * xa + v * xb, u * ya + v * yb, t.denominator * wa * wb
+    g = gcd(x, y, w)
+    hom.append((x // g, y // g, w // g))
     through = state.lines.advance(n).through
     if through != [[i, j]]:
         raise ImpossibleStateError(

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from blbc.construction import (
     DEFAULT_SEED,
@@ -29,7 +30,8 @@ from blbc.errors import (
     PlacementError,
     SeedError,
 )
-from blbc.geometry import Point, line_through, on_open_segment
+from blbc.geometry import Orientation, Point, line_through, on_open_segment, orientation
+from blbc.verifier import CHECKS, verify_construction_run
 from blbc.visibility import (
     ExclusionSet,
     LineIncidenceMap,
@@ -579,3 +581,44 @@ def test_wide_keys_beyond_64_bits_match_reference():
         assert excluded == reference_exclusions(state.points, *pair)
         assert reference_exclusions(state.points, *pair) == excluded
         insert_point(state, pair, choose_parameter(excluded), _excluded=excluded)
+
+
+# seed coordinates: small ints, and fractions with up to 120-bit numerators
+# and 100-bit denominators
+_coords = st.integers(-3, 3) | st.builds(
+    F, st.integers(-(2**120), 2**120), st.integers(1, 2**100))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(_coords, _coords), st.tuples(_coords, _coords), st.tuples(_coords, _coords))
+def test_any_seed_runs_the_affine_image_of_the_default(a, b, c):
+    # the construction is affine-invariant: from the image of the default
+    # seed under p -> a + M p, step by step it selects the same pair, picks
+    # the same t after ruling out as many, keeps the same frame coordinates
+    # (the default run's own, reduced), and places the image of the default
+    # run's point
+    seed = [Point(F(x), F(y)) for x, y in (a, b, c)]
+    assume(orientation(*seed) is not Orientation.COLLINEAR)
+    o, p, q = seed
+    m = (p.x - o.x, q.x - o.x, p.y - o.y, q.y - o.y)
+    det = m[0] * m[3] - m[1] * m[2]
+
+    def back(pt):
+        dx, dy = pt.x - o.x, pt.y - o.y
+        return Point((m[3] * dx - m[1] * dy) / det, (m[0] * dy - m[2] * dx) / det)
+
+    def lockstep():
+        runs = zip(generate_states(seed, 25), generate_states(DEFAULT_SEED, 25))
+        for state, default in runs:
+            assert state.lines.hom == default.lines.hom
+            assert default.lines.hom == PointSet(default.points).homogeneous()
+            assert [back(pt) for pt in state.points] == default.points
+            if state.trace:
+                rec, ref = state.trace[-1], default.trace[-1]
+                assert (rec.pair, rec.chosen_t, rec.excluded_count) == (
+                    ref.pair, ref.chosen_t, ref.excluded_count)
+            yield state
+
+    results, final = verify_construction_run(lockstep(), checks=list(CHECKS))
+    assert final.n == 25
+    assert all(r.passed for _, reports in results for r in reports)
