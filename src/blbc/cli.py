@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--checks",
         help="comma-separated subset of: " + ", ".join(CHECKS)
-        + " (default: all applicable except ordinaryoracle)",
+        + " (default: all applicable except ordinaryoracle and segmentparameter)",
     )
     ver.set_defaults(func=_cmd_verify)
 

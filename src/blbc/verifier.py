@@ -15,11 +15,14 @@ with a machine-readable counterexample on failure:
 - ``exclusionbound``: each record's excluded count is within C(n-3, 2).
 - ``ordinaryoracle``: a selector's pick equals the minimum (smallest j,
   then i) over pairs with no collinear third point.
+- ``segmentparameter``: each record's point is p_i + t·(p_j − p_i) for
+  its pair (i, j) and its parameter t, with 0 < t < 1.
 
 `CHECKS` names them all and says which need a trace and which run by
 default.  One engine computes every report: it is fed points one at a
 time, and each insertion record after its point.  Every check but
-``exclusionbound``, which reads each record alone, reads the engine's own
+``exclusionbound`` and ``segmentparameter``, which read each record with
+at most its pair's points, reads the engine's own
 `visibility.LineIncidenceMap`, built from the raw coordinates it was fed;
 the construction grows a separate instance of the same structure, which
 the verifier never reads (it sees only a state's points, trace and
@@ -40,7 +43,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .construction import ConstructionState, InsertionRecord
 from .errors import ConsistencyError, InputError, _require_int
-from .geometry import Point, _homogeneous, on_open_segment
+from .geometry import Point, _homogeneous, _require_fraction, on_open_segment
+from .rational import format_rational
 from .visibility import LineIncidenceMap, PointSet
 
 
@@ -133,6 +137,28 @@ def _bound_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
     if 0 <= rec.excluded_count <= bound:
         return None
     return {"n": rec.n, "excluded_count": rec.excluded_count, "bound": bound}
+
+
+def _parameter_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
+    """Counterexample unless 0 < t < 1 and the record's point is
+    p_i + t·(p_j − p_i) for its pair (i, j), in exact arithmetic over the
+    raw points; else None."""
+    t = rec.chosen_t
+    _require_fraction(t)
+    i, j = rec.pair
+    a, b = engine.points[i - 1], engine.points[j - 1]
+    expected = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+    point = Point(*rec.point)
+    if 0 < t < 1 and point == expected:
+        return None
+    return {
+        "n": rec.n,
+        "pair": [i, j],
+        "t": format_rational(t),
+        "point": {"x": format_rational(point.x), "y": format_rational(point.y)},
+        "expected_point": {"x": format_rational(expected.x),
+                           "y": format_rational(expected.y)},
+    }
 
 
 def _selection_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
@@ -327,6 +353,9 @@ class _Engine:
         stats = {"steps": self.records, "points": len(self.points)}
         return self._trace_report("ordinaryoracle", stats)
 
+    def _segment_parameter(self) -> VerificationReport:
+        return self._trace_report("segmentparameter", {"records": self.records})
+
 
 class _Check(NamedTuple):
     """How the engine reports a check, how it judges one insertion record
@@ -342,9 +371,10 @@ class _Check(NamedTuple):
         return self.judge is not None
 
 
-# Every check, in report order.  All but exclusionbound, which reads each
-# record alone, read the engine's one LineIncidenceMap.
-# ordinaryoracle is opt-in only so that the default reports, and their
+# Every check, in report order.  All but exclusionbound and
+# segmentparameter, which read each record with at most its pair's points,
+# read the engine's one LineIncidenceMap.  ordinaryoracle and
+# segmentparameter are opt-in only so that the default reports, and their
 # bytes, stay put.
 CHECKS: dict[str, _Check] = {
     "no4collinear": _Check(_Engine._no_k_collinear, None, default=True),
@@ -353,6 +383,7 @@ CHECKS: dict[str, _Check] = {
     "trianglepending": _Check(_Engine._triangle_pending, None, default=True),
     "exclusionbound": _Check(_Engine._exclusion_bound, _bound_failure, default=True),
     "ordinaryoracle": _Check(_Engine._ordinary_oracle, _selection_failure, default=False),
+    "segmentparameter": _Check(_Engine._segment_parameter, _parameter_failure, default=False),
 }
 CHECK_ORDER = tuple(name for name, check in CHECKS.items() if check.default)
 

@@ -8,6 +8,7 @@ import pytest
 from blbc.cli import main
 from blbc.construction import DEFAULT_SEED, generate
 from blbc.fileformat import PointFile, serialize_point_file
+from blbc.verifier import CHECKS
 from test_construction import WIDE_SEED
 
 POINTS_6_GOLDEN = (
@@ -172,6 +173,39 @@ def test_verify_ordinary_oracle_opt_in(tmp_path, capsys):
     assert code == 0
     assert [c["check"] for c in doc["checks"]] == ["ordinaryoracle"]
     assert doc["checks"][0]["stats"] == {"steps": 7, "points": 10}
+
+
+def test_verify_segmentparameter_catches_an_edited_t(tmp_path, capsys):
+    # record 24 of a 30-point run, t edited from 1/5 to 1/7 with its point
+    # kept: only the opt-in segmentparameter check re-derives t
+    points, trace = gen(tmp_path, 30, trace=True)
+    doc = json.loads(trace.read_text())
+    record = doc["records"][20]
+    assert (record["n"], record["t"]) == (24, "1/5")
+    record["t"] = "1/7"
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    every = ",".join(CHECKS)
+
+    def verify(path, checks):
+        code = main(["verify", "--points", str(points), "--trace", str(path),
+                     "--checks", checks])
+        return code, json.loads(capsys.readouterr().out)["checks"]
+
+    assert main(["verify", "--points", str(points), "--trace", str(edited)]) == 0
+    capsys.readouterr()
+    code, only = verify(edited, "segmentparameter")
+    assert code == 1
+    assert only[0]["counterexample"] == {
+        "n": 24, "pair": [3, 9], "t": "1/7", "point": {"x": "1/15", "y": "5/6"},
+        "expected_point": {"x": "1/21", "y": "37/42"},
+    }
+    code, clean = verify(trace, every)
+    assert code == 0
+    code, reports = verify(edited, every)
+    assert code == 1
+    assert reports[:-1] == clean[:-1]
+    assert reports[-1] == only[0]
 
 
 def test_verify_checks_subset_keeps_canonical_order(tmp_path, capsys):

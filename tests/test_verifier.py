@@ -16,7 +16,7 @@ from blbc.construction import (
     init_state,
 )
 from blbc.errors import ConsistencyError, InputError
-from blbc.geometry import Orientation, Point, on_open_segment, orientation
+from blbc.geometry import Orientation, Point, on_open_segment, orientation, segment_param_point
 from blbc.verifier import (
     CHECK_ORDER,
     CHECKS,
@@ -418,6 +418,60 @@ def test_trace_selections_flag_wrong_step():
     }
 
 
+def tampered_reports(field):
+    """Reports of every check on the 30-point default run, before and
+    after one field of one record is edited.  A moved point moves in the
+    point set too, or the trace would not match it."""
+    state = generate(DEFAULT_SEED, 30)
+    points, trace = list(state.points), list(state.trace)
+    clean = verify_points(PointSet(points), trace, list(CHECKS))
+    n24, n30 = trace[20], trace[26]
+    if field == "t":
+        trace[20] = dataclasses.replace(n24, chosen_t=F(1, 7))
+    elif field == "excluded_count":
+        trace[20] = dataclasses.replace(n24, excluded_count=comb(21, 2) + 1)
+    elif field == "pair":
+        trace[26] = dataclasses.replace(n30, pair=OrdinaryPair(5, 10))
+    else:
+        # still strictly inside its segment, on no other spanned line
+        moved = segment_param_point(points[3], points[9], F(2, 7))
+        assert F(2, 7) not in blocking_parameters(PointSet(points[:29]), 4, 10)
+        points[29] = moved
+        trace[26] = dataclasses.replace(n30, point=moved)
+    return clean, verify_points(PointSet(points), trace, list(CHECKS))
+
+
+@pytest.mark.parametrize("field, failing, counterexample", [
+    ("t", {"segmentparameter"},
+     {"n": 24, "pair": [3, 9], "t": "1/7", "point": {"x": "1/15", "y": "5/6"},
+      "expected_point": {"x": "1/21", "y": "37/42"}}),
+    ("excluded_count", {"exclusionbound"},
+     {"n": 24, "excluded_count": 211, "bound": 210}),
+    ("pair", {"uniquetriple", "ordinaryoracle", "segmentparameter"},
+     {"n": 30, "expected_pair": [5, 10], "collinear_pairs": [[4, 10]],
+      "on_segment": False}),
+    ("point", {"segmentparameter"},
+     {"n": 30, "pair": [4, 10], "t": "1/4", "point": {"x": "11/28", "y": "1/28"},
+      "expected_point": {"x": "13/32", "y": "1/32"}}),
+])
+def test_tampered_record_fails_only_its_checks(field, failing, counterexample):
+    clean, tampered = tampered_reports(field)
+    assert all(r.passed for r in clean)
+    assert {r.check for r in tampered if not r.passed} == failing
+    for before, after in zip(clean, tampered):
+        if after.check not in failing:
+            assert after == before
+    first = min(failing, key=list(CHECKS).index)
+    assert next(r for r in tampered if r.check == first).counterexample == counterexample
+
+
+def test_segmentparameter_refuses_an_inexact_t():
+    ps, trace, _ = golden(8)
+    bad = [dataclasses.replace(rec, chosen_t=0.5) if rec.n == 4 else rec for rec in trace]
+    with pytest.raises(InputError, match="Fraction"):
+        verify_points(ps, bad, ["segmentparameter"])
+
+
 # whole-run sweep
 
 
@@ -555,6 +609,9 @@ def test_sweep_reports_equal_pure_checks():
         unique = [f for f in (oracle_record_failure(points, r) for r in trace) if f]
         bound = [{"n": r.n, "excluded_count": r.excluded_count, "bound": comb(r.n - 3, 2)}
                  for r in trace if not 0 <= r.excluded_count <= comb(r.n - 3, 2)]
+        off_segment = [r.n for r in trace if r.point != segment_param_point(
+            points[r.pair[0] - 1], points[r.pair[1] - 1], r.chosen_t)]
+        assert not off_segment
         assert reports == [
             no4,
             VerificationReport("uniquetriple", not unique, unique[0] if unique else None,
@@ -564,6 +621,7 @@ def test_sweep_reports_equal_pure_checks():
             VerificationReport("exclusionbound", not bound, bound[0] if bound else None,
                                {"records": len(trace)}),
             oracle_selection_report(points, trace),
+            VerificationReport("segmentparameter", True, None, {"records": len(trace)}),
         ]
 
 
