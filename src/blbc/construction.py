@@ -44,6 +44,7 @@ from .visibility import (
     ExclusionSet,
     LineIncidenceMap,
     PointSet,
+    TwoPointPairs,
     _at,
     _coerce_point,
     _crossing_parameters,
@@ -99,8 +100,9 @@ class ConstructionState:
     adopted by `state_from_points`.  Collinearity, and so every key,
     pair and index of the map, is the same in either frame; its lines
     are the frame's.  The map grows one point per insertion, and its
-    cursor tracks the least pending pair; ``pending`` is its
-    ``two_point`` set, exactly the pairs whose line carries two points;
+    cursor tracks the least pending pair; ``pending`` is its read-only
+    ``two_point`` view, exactly the pairs whose line carries two points,
+    while the map stores only the pairs ``covered`` by the lines of three;
     ``trace`` records every insertion so far.
     """
 
@@ -118,9 +120,9 @@ class ConstructionState:
         return len(self.points)
 
     @property
-    def pending(self) -> set[tuple[int, int]]:
-        """The pairs (i, j) whose line carries no third point (live, not a
-        copy)."""
+    def pending(self) -> TwoPointPairs:
+        """The pairs (i, j) whose line carries no third point: a live,
+        read-only view of the map, which stores the covered pairs only."""
         return self.lines.two_point
 
     def point(self, i: int) -> Point:

@@ -26,7 +26,12 @@ at most its pair's points, reads the engine's own
 `visibility.LineIncidenceMap`, built from the raw coordinates it was fed;
 the construction grows a separate instance of the same structure, which
 the verifier never reads (it sees only a state's points, trace and
-pending set).
+pending set).  Both maps store only the pairs covered by lines of three
+or more points, and a pending set is a read-only view of the other
+pairs, so comparing a state's pending set with the engine's costs
+O(n) per prefix.  The engine keeps the consecutive pairs along its lines
+as a graph, with its triangles, updated from the lines each point
+touches.
 `verify_construction_run` reports after every point of a run; the
 per-set functions and `verify_points` feed a whole set and report once,
 so sweep and one-shot reports are identical by construction.  The
@@ -39,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 from .construction import ConstructionState, InsertionRecord
 from .errors import ConsistencyError, InputError, _require_int
@@ -93,24 +98,37 @@ def _lemma_line_failures(order: Sequence[int], points: Sequence[Point]) -> list[
     return failures
 
 
-def _h_triangle_violations(h_edges: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    """Triangles formed entirely of the given edges, ascending triples.
+class _Triangles:
+    """A graph of distinct edges, added and removed one at a time, with
+    ``found``, every triangle it holds as an ascending triple.
 
-    Edges must be normalised (i < j).  A triangle of the visibility graph
-    violates the pending invariant exactly when all three of its edges lie
-    outside the pending set, i.e. when it appears in this subgraph.
+    A triangle of the visibility graph violates the pending invariant
+    exactly when all three of its edges lie outside the pending set, i.e.
+    when it appears in the graph of those edges.  Each change looks only
+    at the triangles through its own edge.
     """
-    edges = sorted(set(h_edges))
-    adj: dict[int, set[int]] = {}
-    for i, j in edges:
-        adj.setdefault(i, set()).add(j)
-        adj.setdefault(j, set()).add(i)
-    violations: list[tuple[int, int, int]] = []
-    for i, j in edges:
-        for k in sorted(adj[i] & adj[j]):
-            if k > j:
-                violations.append((i, j, k))
-    return violations
+
+    def __init__(self, edges: Iterable[tuple[int, int]] = ()) -> None:
+        self.adj: dict[int, set[int]] = {}
+        self.edges = 0
+        self.found: set[tuple[int, int, int]] = set()
+        for u, v in edges:
+            self.add(u, v)
+
+    def add(self, u: int, v: int) -> None:
+        near_u = self.adj.setdefault(u, set())
+        near_v = self.adj.setdefault(v, set())
+        self.found.update(tuple(sorted((u, v, w))) for w in near_u & near_v)
+        near_u.add(v)
+        near_v.add(u)
+        self.edges += 1
+
+    def remove(self, u: int, v: int) -> None:
+        near_u, near_v = self.adj[u], self.adj[v]
+        near_u.discard(v)
+        near_v.discard(u)
+        self.found.difference_update(tuple(sorted((u, v, w))) for w in near_u & near_v)
+        self.edges -= 1
 
 
 def _record_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
@@ -236,7 +254,7 @@ class _Engine:
     Every check reads one `LineIncidenceMap` over the raw coordinates fed,
     never the construction's bookkeeping.  A point check first has it
     order the lines touched since the last report, and refreshes their
-    lemma failures.
+    lemma failures and their consecutive pairs in ``consecutive``.
     Records are judged on arrival by the selected trace checks; those
     that ask which pairs are collinear advance the pass to the record.
     ``pending=None`` stands for the pending set of a valid run: exactly
@@ -247,7 +265,7 @@ class _Engine:
         self,
         checks: Sequence[str],
         k: int = 4,
-        pending: set[tuple[int, int]] | None = None,
+        pending: Container[tuple[int, int]] | None = None,
     ) -> None:
         _require_int(k, "collinearity threshold")
         if k < 3:
@@ -263,6 +281,8 @@ class _Engine:
         self.failures: dict[str, dict] = {}  # first failure per trace check
         # lemma failures per line of >= 3 points, by the key of lines.multi
         self._lemma: dict[tuple[int, int], list[dict]] = {}
+        # the visible pairs along the lines of >= 3 points
+        self.consecutive = _Triangles()
 
     def feed_point(self, p: Point) -> None:
         h, n = _homogeneous(p), len(self.hom) + 1
@@ -286,10 +306,17 @@ class _Engine:
         return CHECKS[name].report(self)
 
     def grown(self) -> LineIncidenceMap:
-        """The line pass over every point fed, lemma failures refreshed."""
-        lines = self.lines
-        for key in lines.order(self.points):
-            self._lemma[key] = _lemma_line_failures(lines.along[key][1], self.points)
+        """The line pass over every point fed, lemma failures and
+        ``consecutive`` refreshed."""
+        lines, edges = self.lines, self.consecutive
+        for key, old in lines.order(self.points).items():
+            order = lines.along[key][1]
+            if old is not None:
+                for u, v in zip(old, old[1:]):
+                    edges.remove(u, v)
+            for u, v in zip(order, order[1:]):
+                edges.add(u, v)
+            self._lemma[key] = _lemma_line_failures(order, self.points)
         return lines
 
     def _no_k_collinear(self) -> VerificationReport:
@@ -307,33 +334,34 @@ class _Engine:
         )
 
     def _visible_pair_lemma(self) -> VerificationReport:
-        qualifying = sum(len(order) - 1 for _, order in self.grown().along.values())
+        self.grown()
         failures = [f for fails in self._lemma.values() for f in fails]
         return VerificationReport(
             "visiblepairlemma",
             not failures,
             min(failures, key=lambda f: f["pair"], default=None),
-            {"points": len(self.points), "qualifying_pairs": qualifying},
+            {"points": len(self.points), "qualifying_pairs": self.consecutive.edges},
         )
 
     def _triangle_pending(self) -> VerificationReport:
         # visible edges: each two-point pair, and consecutive pairs along
-        # the longer lines; a two-point pair is pending in a valid run
+        # the longer lines; a two-point pair is pending in a valid run,
+        # so by default the candidates are the consecutive pairs alone
         lines = self.grown()
-        two_point, multi = lines.two_point, lines.consecutive()
         if self.pending is None:
-            candidates = multi
+            candidates = self.consecutive
         else:
-            candidates = [e for e in chain(two_point, multi) if e not in self.pending]
-        violations = _h_triangle_violations(candidates)
+            candidates = _Triangles(e for e in chain(lines.two_point, lines.consecutive())
+                                    if e not in self.pending)
+        violations = candidates.found
         return VerificationReport(
             "trianglepending",
             not violations,
-            {"triangle": list(violations[0])} if violations else None,
+            {"triangle": list(min(violations))} if violations else None,
             {
                 "points": len(self.points),
-                "visible_edges": len(two_point) + len(multi),
-                "candidate_edges": len(candidates),
+                "visible_edges": len(lines.two_point) + self.consecutive.edges,
+                "candidate_edges": candidates.edges,
                 "violations": len(violations),
             },
         )
@@ -401,7 +429,7 @@ def _run(
     points: Iterable[Point] = (),
     trace: Iterable[InsertionRecord] = (),
     k: int = 4,
-    pending: set[tuple[int, int]] | None = None,
+    pending: Container[tuple[int, int]] | None = None,
 ) -> list[VerificationReport]:
     """Feed a whole set, then its records, to one engine; one report per
     check."""

@@ -8,13 +8,15 @@ grouping earlier points by exact direction from each new one, and is the
 package's only incidence structure: the construction grows one instance
 point by point for its pending pairs, while the verifier, the analyzer
 and the renderer each build their own, the visible pairs being the
-neighbours along each line.  The exclusion kernel behind
-`blocking_parameters` reads no line structure: it loops over pairs of
-points and their homogeneous coordinates, in integers only, and keys
-each crossing by one int made from its reduced numerator and
-denominator; an `ExclusionSet` shows those keys as a set of Fractions.
-A direct per-pair reference implementation of visibility is kept
-alongside as the oracle.
+neighbours along each line.  The map keeps the sparse side of its pairs:
+``covered``, the pairs on lines of three or more points; its
+``two_point`` is a read-only view of every other pair, `TwoPointPairs`.
+The exclusion kernel behind `blocking_parameters` reads no line
+structure: it loops over pairs of points and their homogeneous
+coordinates, in integers only, and keys each crossing by one int made
+from its reduced numerator and denominator; an `ExclusionSet` shows
+those keys as a set of Fractions.  A direct per-pair reference
+implementation of visibility is kept alongside as the oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .clique import find_max_clique
@@ -123,33 +125,96 @@ def _sorted_along_line(
     return sorted(indices, key=lambda i: points[i - 1].x)
 
 
+def _is_pair(pair: object, n: int) -> bool:
+    """True iff ``pair`` is a tuple of two ints i, j with 1 <= i < j <= n."""
+    if not isinstance(pair, tuple) or len(pair) != 2:
+        return False
+    i, j = pair
+    return isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= n
+
+
+class TwoPointPairs(Set):
+    """Read-only, live view of the pairs (i < j) of a `LineIncidenceMap`
+    whose line carries no third point: the pairs of 1..n not covered.
+
+    ``in`` is O(1); ``len`` is C(n, 2) less the size of ``covered``, which
+    holds only pairs of 1..n as the map keeps it; iteration is lazy, in
+    (j, i) order.  Two views of maps over as many points compare their
+    covered pairs, in O(|covered|); anything else compares as plain sets.
+    Either way ``==`` is that of the plain sets, whatever ``covered``
+    holds.
+    """
+
+    __slots__ = ("_lines",)
+
+    def __init__(self, lines: LineIncidenceMap) -> None:
+        self._lines = lines
+
+    def _covered(self) -> set[tuple[int, int]]:
+        """The covered pairs that are pairs of 1..n: all of them, unless
+        ``covered`` was written to from outside the map."""
+        n = self._lines.n
+        return {p for p in self._lines.covered if _is_pair(p, n)}
+
+    def __contains__(self, pair: object) -> bool:
+        return _is_pair(pair, self._lines.n) and pair not in self._lines.covered
+
+    def __len__(self) -> int:
+        return comb(self._lines.n, 2) - len(self._lines.covered)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        covered = self._lines.covered
+        for j in range(2, self._lines.n + 1):
+            for i in range(1, j):
+                if (i, j) not in covered:
+                    yield i, j
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TwoPointPairs) and other._lines.n == self._lines.n:
+            mine, theirs = self._lines.covered, other._lines.covered
+            return mine == theirs or self._covered() == other._covered()
+        if not isinstance(other, Set):
+            return NotImplemented
+        return set(self) == set(other)
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+        # the & | - ^ mixins build their results here: plain sets
+        return set(it)
+
+    def __repr__(self) -> str:
+        return f"TwoPointPairs(n={self._lines.n}, {len(self)} pairs)"
+
+
 class LineIncidenceMap:
     """Every line spanned by the points fed so far, from exact directions.
 
     Each new point n groups the earlier points by exact direction from it.
-    A lone point r starts the two-point line {r, n}; a group of two turns
+    A lone point r leaves {r, n} a two-point line; a group of two turns
     its pair's line into a three-point one; a larger group is a line of
-    ``multi`` that n joins.  ``two_point`` holds the pairs (i < j) whose
-    line carries no third point.  ``multi`` maps each line of three or
-    more points to its ascending members, keyed by its two least indices,
-    and `order` keeps ``along[key]``, the line and its members in order
-    along it.  ``through`` lists the groups of the last point fed: the
-    earlier points sharing a line with it.  ``before`` is the least
-    two-point pair, in (j, i) order, over the points placed before the
-    last one: the pair the construction must have selected.
+    ``multi`` that n joins.  ``multi`` maps each line of three or more
+    points to its ascending members, keyed by its two least indices, and
+    ``covered`` holds every pair (i < j) on such a line.  ``two_point``
+    is a read-only view of the other pairs, those whose line carries no
+    third point; only ``covered`` is stored.  `order` keeps
+    ``along[key]``, the line and its members in order along it.
+    ``through`` lists the groups of the last point fed: the earlier points
+    sharing a line with it.  ``before`` is the least two-point pair, in
+    (j, i) order, over the points placed before the last one: the pair
+    the construction must have selected.
     """
 
     def __init__(self, hom: list[tuple[int, int, int]]) -> None:
         self.hom = hom  # read as it grows; its points must be pairwise distinct
         self.n = 0
-        self.two_point: set[tuple[int, int]] = set()
+        self.covered: set[tuple[int, int]] = set()
         self.multi: dict[tuple[int, int], list[int]] = {}
         self.along: dict[tuple[int, int], tuple[CanonicalLine, list[int]]] = {}
         self.through: list[list[int]] = []
         self.before: tuple[int, int] | None = None
         self._touched: set[tuple[int, int]] = set()  # keys of multi not yet ordered
         # (j, i) of the least pair that may be two-point; it only moves
-        # forward, as pairs leave two_point for good and new pairs sort
+        # forward, as pairs become covered for good and new pairs sort
         # after old ones
         self._next = (2, 1)
 
@@ -159,6 +224,11 @@ class LineIncidenceMap:
         `PointSet`, so repeated points are refused."""
         hom = (ps if isinstance(ps, PointSet) else PointSet(ps)).homogeneous()
         return cls(hom).advance(len(hom))
+
+    @property
+    def two_point(self) -> TwoPointPairs:
+        """The pairs whose line carries no third point (a live view)."""
+        return TwoPointPairs(self)
 
     def __len__(self) -> int:
         """Number of distinct lines spanned."""
@@ -175,7 +245,7 @@ class LineIncidenceMap:
     def least(self) -> tuple[int, int] | None:
         """Least two-point pair (i, j) in (j, i) order, or None."""
         j, i = self._next
-        while j <= self.n and (i, j) not in self.two_point:
+        while j <= self.n and (i, j) in self.covered:
             i += 1
             if i == j:
                 j, i = j + 1, 1
@@ -184,6 +254,7 @@ class LineIncidenceMap:
 
     def advance(self, n: int) -> LineIncidenceMap:
         """Feed points up to n; ``through`` and ``before`` then describe n."""
+        covered = self.covered
         for m in range(self.n + 1, n + 1):
             self.before = self.least()
             self.n = m
@@ -197,30 +268,31 @@ class LineIncidenceMap:
                 if dx < 0 or (dx == 0 and dy < 0):
                     g = -g
                 buckets.setdefault((dx // g, dy // g), []).append(r)
-            self.through = []
-            for group in buckets.values():
-                if len(group) == 1:
-                    self.two_point.add((group[0], m))
-                    continue
-                self.through.append(group)
+            self.through = [group for group in buckets.values() if len(group) > 1]
+            for group in self.through:
                 key = (group[0], group[1])
                 if len(group) == 2:
-                    self.two_point.discard(key)
                     self.multi[key] = [*group, m]
+                    covered.add(key)
                 else:
                     self.multi[key].append(m)
+                covered.update((r, m) for r in group)
                 self._touched.add(key)
         return self
 
-    def order(self, points: Sequence[Point]) -> set[tuple[int, int]]:
+    def order(self, points: Sequence[Point]) -> dict[tuple[int, int], list[int] | None]:
         """Feed every point of ``points``, then refresh ``along`` for the
-        lines of ``multi`` touched since the last call; returns their keys."""
+        lines of ``multi`` touched since the last call; returns their keys,
+        each with its previous order along the line, None for a new line."""
         self.advance(len(points))
         touched, self._touched = self._touched, set()
+        previous: dict[tuple[int, int], list[int] | None] = {}
         for key in touched:
             line = self.line(key)
+            old = self.along.get(key)
+            previous[key] = None if old is None else old[1]
             self.along[key] = (line, _sorted_along_line(self.multi[key], points, line))
-        return touched
+        return previous
 
     def consecutive(self) -> list[tuple[int, int]]:
         """Visible pairs (i < j) on the lines of ``along``: neighbours along
@@ -315,7 +387,8 @@ def _graph(lines: LineIncidenceMap) -> VisibilityGraph:
 
 def _largest_line(lines: LineIncidenceMap) -> tuple[int, list[int]]:
     best = min(lines.multi.values(), key=lambda m: (-len(m), m), default=None)
-    witness = list(best or min(lines.two_point))
+    # with no line of three points every pair is two-point, (1, 2) least
+    witness = list(best or (1, 2))
     return len(witness), witness
 
 
@@ -534,9 +607,9 @@ def _crossing_parameters(hom: Sequence[tuple[int, int, int]], i: int, j: int) ->
     segment's line there alone; otherwise the line crosses the open
     segment exactly when the signs differ, at
     t = |fa|·wb² / (|fa|·wb² + |fb|·wa²).  Both terms are positive, so one
-    gcd reduces t to Fraction's own numerator and denominator, which
-    `_key` turns into t's key; the pairs of a line with three points give
-    the same key, kept once.
+    gcd reduces t to Fraction's own numerator and denominator, which the
+    loop turns into t's `_key`, inlined; the pairs of a line with three
+    points give the same key, kept once.
     """
     xa, ya, wa = hom[i - 1]
     xb, yb, wb = hom[j - 1]
@@ -562,5 +635,6 @@ def _crossing_parameters(hom: Sequence[tuple[int, int, int]], i: int, j: int) ->
                 u = fa * wb2
                 v = u + fb * wa2
                 g = gcd(u, v)
-                add(_key(u // g, v // g))
+                v //= g
+                add(v * (v - 1) // 2 + u // g)
     return ExclusionSet(keys)

@@ -184,8 +184,10 @@ def test_select_matches_direct_minimum_at_every_step():
 def test_select_refuses_a_pending_set_behind_the_selection_order():
     state = generate(DEFAULT_SEED, 8)
     select_ordinary_pair(state)
-    state.pending.clear()
-    state.pending.add((1, 2))
+    # pending is a view: leave (1, 2) alone uncovered
+    state.lines.covered.update(itertools.combinations(range(1, state.n + 1), 2))
+    state.lines.covered.discard((1, 2))
+    assert state.pending == {(1, 2)}
     with pytest.raises(ImpossibleStateError, match="selection order disagree"):
         select_ordinary_pair(state)
 
@@ -487,7 +489,7 @@ def pending_through(state, point):
 
 
 def tamper_two_point_pair(state, key, members):
-    state.lines.two_point.add((members[0], members[2]))
+    state.lines.covered.discard((members[0], members[2]))
     return pending_through(state, members[1])
 
 

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from blbc import verifier
 from blbc.construction import (
     DEFAULT_SEED,
     InsertionRecord,
@@ -694,6 +695,18 @@ def test_failing_sets_match_oracles_one_shot_and_sweep(name):
     assert results[-1] == (ps.n, one_shot)
 
 
+def test_sweep_drops_a_triangle_when_a_point_splits_its_edge():
+    # the triangle (1, 2, 3) is there once each of its sides carries a
+    # third point, and goes when point 7 lands inside side (1, 2)
+    points = PointSet([(0, 0), (4, 0), (0, 4), (8, 0), (0, 8), (-4, 8), (2, 0)]).points
+    results, _ = verify_construction_run(fabricated_states(points),
+                                         checks=["trianglepending"])
+    for n, (report,) in results:
+        prefix = points[:n]
+        assert report == oracle_point_reports(prefix, oracle_two_point_pairs(prefix))[2], n
+    assert [report.passed for _, (report,) in results] == [True, True, True, False, True]
+
+
 def test_checks_do_not_use_the_incidence_map():
     # the sweep never reads the construction's map: snapshots without one
     # report exactly what the live states do
@@ -771,12 +784,29 @@ def test_sweep_detects_pending_divergence():
     def tampered():
         for state in generate_states(DEFAULT_SEED, 8):
             if state.n == 6:
-                state.pending.discard(min(state.pending, key=lambda p: (p[1], p[0])))
+                state.lines.covered.add(min(state.pending, key=lambda p: (p[1], p[0])))
             yield state
 
     with pytest.raises(ConsistencyError) as exc:
         verify_construction_run(tampered())
     assert "pending" in str(exc.value)
+
+
+def test_sweep_detects_a_covered_pair_swapped_for_a_pending_one():
+    # as many pending pairs as the engine has, but not the same ones
+    def tampered():
+        for state in generate_states(DEFAULT_SEED, 8):
+            if state.n == 6:
+                before = len(state.pending)
+                pending = min(state.pending, key=lambda p: (p[1], p[0]))
+                state.lines.covered.remove(min(state.lines.covered))
+                state.lines.covered.add(pending)
+                assert len(state.pending) == before
+            yield state
+
+    with pytest.raises(ConsistencyError, match="pending") as exc:
+        verify_construction_run(tampered())
+    assert "extra [(1, 2)]" in str(exc.value)
 
 
 def test_sweep_detects_record_point_mismatch():
@@ -790,6 +820,30 @@ def test_sweep_detects_record_point_mismatch():
 
     with pytest.raises(ConsistencyError):
         verify_construction_run(tampered())
+
+
+def test_sweep_holds_only_the_covered_pairs(monkeypatch):
+    # each insertion covers three pairs, so both the state's map and the
+    # engine's hold 3(n - 3) pairs, and no structure of either is dense
+    engines = []
+
+    class Recorded(verifier._Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(verifier, "_Engine", Recorded)
+    results, state = verify_construction_run(generate_states(DEFAULT_SEED, 200))
+    (engine,) = engines
+    n = 200
+    assert all(r.passed for r in results[-1][1])
+    for lines in (state.lines, engine.lines):
+        assert len(lines.covered) == 3 * (n - 3)
+        assert all(len(v) <= 3 * (n - 3) for v in vars(lines).values()
+                   if isinstance(v, (set, dict)))
+    assert not isinstance(state.pending, (set, frozenset))
+    assert len(state.pending) == comb(n, 2) - 3 * (n - 3)
+    assert state.pending == engine.lines.two_point
 
 
 def test_sweep_rejects_repeated_point():

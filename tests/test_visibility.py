@@ -4,6 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blbc.construction import DEFAULT_SEED, generate
 from blbc.errors import DuplicatePointError, ImpossibleStateError, InputError
@@ -12,6 +13,7 @@ from blbc.visibility import (
     BlbcOutcome,
     LineIncidenceMap,
     PointSet,
+    TwoPointPairs,
     VisibilityGraph,
     _assert_pairwise_visible,
     blocking_parameters,
@@ -23,6 +25,7 @@ from blbc.visibility import (
     max_visible_clique,
 )
 
+F = Fraction
 GRID = [(x, y) for y in range(3) for x in range(3)]
 
 
@@ -133,6 +136,82 @@ def test_advance_reports_the_lines_it_joined():
     assert lmap.advance(6).through == [[2, 3]]
     assert lmap.multi == LineIncidenceMap.from_point_set(ps).multi
     assert lmap.two_point == LineIncidenceMap.from_point_set(ps).two_point
+
+
+def brute_two_point(points):
+    """Pairs (i < j) of ``points`` with no third point on their line."""
+    return {
+        (i, j)
+        for i, j in combinations(range(1, len(points) + 1), 2)
+        if not any(line_through(points[i - 1], points[j - 1]).contains(p)
+                   for r, p in enumerate(points, start=1) if r not in (i, j))
+    }
+
+
+@st.composite
+def collinear_rich_points(draw):
+    """A few small grid points, then forced collinear triples (one more
+    point on a pair's line) and quadruples (two more), in any order."""
+    small = st.integers(-4, 4)
+    base = draw(st.lists(st.tuples(small, small), min_size=2, max_size=6, unique=True))
+    points = [Point(F(x), F(y)) for x, y in base]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+        ts = draw(st.sampled_from([(F(1, 2),), (F(2),), (F(1, 3), F(2, 3)), (F(-1), F(1, 2))]))
+        if a != b:
+            points += [Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)) for t in ts]
+    return draw(st.permutations(list(dict.fromkeys(points))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(collinear_rich_points(), st.sampled_from(["none", "cover", "uncover", "swap", "junk"]))
+def test_two_point_view_agrees_with_brute_force(points, tamper):
+    lmap = LineIncidenceMap.from_point_set(points)
+    view, expected = lmap.two_point, brute_two_point(points)
+    n = len(points)
+    assert isinstance(view, TwoPointPairs)
+    assert len(lmap.covered) == sum(comb(len(m), 2) for m in lmap.multi.values())
+    probes = [(i, j) for i in range(-1, n + 3) for j in range(-1, n + 3)]
+    assert [p in view for p in probes] == [p in expected for p in probes]
+    assert [1, 2] not in view and (1, 2, 3) not in view and "12" not in view
+    assert len(view) == len(expected)
+    assert list(view) == sorted(expected, key=lambda p: (p[1], p[0]))
+    assert view == expected and expected == view and not view != expected
+    assert view == lmap.two_point_pairs() and view != expected | {(n, n + 1)}
+
+    # against another map's view: over the same points, then over one
+    # point less, with one map's covered pairs written to from outside
+    same = LineIncidenceMap.from_point_set(points)
+    fewer = LineIncidenceMap.from_point_set(points[:-1])
+    covered = same.covered
+    if tamper == "cover" and expected:
+        covered.add(min(expected))
+    elif tamper == "uncover" and covered:
+        covered.discard(min(covered))
+    elif tamper == "swap" and covered and expected:
+        pair = min(expected)
+        covered.discard(min(covered))
+        covered.add(pair)
+    elif tamper == "junk":
+        covered.update({(2, 1), (0, 1), (n, n + 1)})
+    for other in (same.two_point, fewer.two_point):
+        plain = set(other)
+        assert (view == other) == (expected == plain) == (other == view)
+        assert (view != other) == (expected != plain)
+        assert (other == expected) == (plain == expected)
+
+
+def test_two_point_view_is_read_only_and_live():
+    lmap = LineIncidenceMap(PointSet([(0, 0), (1, 0), (2, 0), (0, 1)]).homogeneous())
+    view = lmap.two_point
+    assert not hasattr(view, "add") and not hasattr(view, "discard")
+    assert list(view) == [] and len(view) == 0
+    lmap.advance(2)
+    assert list(view) == [(1, 2)]
+    lmap.advance(4)
+    assert list(view) == [(1, 4), (2, 4), (3, 4)] and len(view) == 3
+    assert view - {(1, 4)} == {(2, 4), (3, 4)} and isinstance(view - set(), set)
+    assert view != [(1, 4), (2, 4), (3, 4)]
 
 
 def test_from_point_set_reads_raw_sequences_through_point_set():
