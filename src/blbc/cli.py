@@ -52,10 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="re-check invariants of a point file")
     ver.add_argument("--points", required=True, help="point file to verify")
     ver.add_argument("--trace", help="matching trace file (enables trace checks)")
+    opt_in = " and ".join(name for name, check in CHECKS.items() if not check.default)
     ver.add_argument(
         "--checks",
         help="comma-separated subset of: " + ", ".join(CHECKS)
-        + " (default: all applicable except ordinaryoracle and segmentparameter)",
+        + f" (default: all applicable except {opt_in})",
     )
     ver.set_defaults(func=_cmd_verify)
 

@@ -97,13 +97,15 @@ class ConstructionState:
     ``lines`` is the incidence map over the same points in a frame: its
     ``hom`` holds their coordinates in the affine frame of the seed, in
     which the seed is (0,0), (1,0), (0,1), or the raw ones for a state
-    adopted by `state_from_points`.  Collinearity, and so every key,
-    pair and index of the map, is the same in either frame; its lines
-    are the frame's.  The map grows one point per insertion, and its
-    cursor tracks the least pending pair; ``pending`` is its read-only
-    ``two_point`` view, exactly the pairs whose line carries two points,
-    while the map stores only the pairs ``covered`` by the lines of three;
-    ``trace`` records every insertion so far.
+    adopted by `state_from_points`.  Collinearity and betweenness, and so
+    every key, pair and index of the map and the neighbours along each
+    line of its ``multi``, are the same in either frame; its lines, and
+    the order of ``multi`` along them, are the frame's.  The map grows one
+    point per insertion, and its cursor tracks the least pending pair;
+    ``pending`` is its read-only ``two_point`` view, exactly the pairs
+    whose line carries two points, while the map stores only the pairs
+    ``covered`` by the lines of three; ``trace`` records every insertion
+    so far.
     """
 
     __slots__ = ("points", "lines", "trace")
@@ -164,7 +166,7 @@ def state_from_points(points: Iterable[Sequence]) -> ConstructionState:
         raise InputError(f"a construction state needs >= 3 points, got {ps.n}")
     lines = LineIncidenceMap(list(ps.homogeneous())).advance(ps.n)
     # the first such line in the order of its two least indices, (j, i)
-    crowded = min((lst for lst in lines.multi.values() if len(lst) > 3),
+    crowded = min((sorted(lst) for lst in lines.multi.values() if len(lst) > 3),
                   key=lambda lst: (lst[1], lst[0]), default=None)
     if crowded is not None:
         raise InputError(

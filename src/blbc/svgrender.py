@@ -12,7 +12,7 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 from .errors import InputError
-from .visibility import PointSet, _ordered_lines, build_visibility_graph
+from .visibility import LineIncidenceMap, PointSet, build_visibility_graph
 
 EDGE_MODES = ("visibility", "collinear", "none")
 
@@ -36,8 +36,9 @@ def _segments(ps: PointSet, edges: str) -> tuple[tuple[int, int], ...]:
         return build_visibility_graph(ps).edges
     # collinear: one segment per line carrying >= 3 points, across its
     # extremes, in line order
-    along = _ordered_lines(ps).along.values()
-    return tuple((order[0], order[-1]) for _, order in sorted(along))
+    lines = LineIncidenceMap.from_point_set(ps)
+    along = sorted((lines.line(key), order) for key, order in lines.multi.items())
+    return tuple((order[0], order[-1]) for _, order in along)
 
 
 def render_svg(ps: PointSet, edges: str = "none") -> str:

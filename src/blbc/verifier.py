@@ -23,15 +23,15 @@ default.  One engine computes every report: it is fed points one at a
 time, and each insertion record after its point.  Every check but
 ``exclusionbound`` and ``segmentparameter``, which read each record with
 at most its pair's points, reads the engine's own
-`visibility.LineIncidenceMap`, built from the raw coordinates it was fed;
-the construction grows a separate instance of the same structure, which
-the verifier never reads (it sees only a state's points, trace and
-pending set).  Both maps store only the pairs covered by lines of three
-or more points, and a pending set is a read-only view of the other
-pairs, so comparing a state's pending set with the engine's costs
-O(n) per prefix.  The engine keeps the consecutive pairs along its lines
-as a graph, with its triangles, updated from the lines each point
-touches.
+`visibility.LineIncidenceMap`, built in order along each line from the
+raw coordinates it was fed; the construction grows a separate instance
+of the same structure, which the verifier never reads (it sees only a
+state's points, trace and pending set).  Both maps store only the pairs
+covered by lines of three or more points, and a pending set is a
+read-only view of the other pairs, so comparing a state's pending set
+with the engine's costs O(n) per prefix.  The engine keeps the
+consecutive pairs along its lines as a graph, with its triangles,
+updated from the lines each point joins.
 `verify_construction_run` reports after every point of a run; the
 per-set functions and `verify_points` feed a whole set and report once,
 so sweep and one-shot reports are identical by construction.  The
@@ -74,13 +74,13 @@ class VerificationReport:
 # per-line and per-record judgements
 
 
-def _lemma_line_failures(order: Sequence[int], points: Sequence[Point]) -> list[dict]:
+def _lemma_line_failures(order: Sequence[int]) -> list[dict]:
     """Failures of the visible-pair conditions on one line with >= 3 points,
     given in ``order`` along it.
 
     The visible pairs of the line are the consecutive ones along it.  For
     each such pair (i, k) with i < k the line must carry exactly one other
-    point i', with i' < k and point k strictly between points i and i'.
+    point i', with i' < k and k the middle one of the three along it.
     """
     failures: list[dict] = []
     for u, v in zip(order, order[1:]):
@@ -90,7 +90,7 @@ def _lemma_line_failures(order: Sequence[int], points: Sequence[Point]) -> list[
             reason = "four_collinear"
         elif not third < k:
             reason = "third_not_earlier"
-        elif not on_open_segment(points[k - 1], points[i - 1], points[third - 1]):
+        elif k != order[1]:
             reason = "not_between"
         else:
             continue
@@ -134,7 +134,7 @@ class _Triangles:
 def _record_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
     """Counterexample unless point rec.n is collinear with exactly its
     recorded pair of earlier points, strictly between the two; else None."""
-    through = engine.lines.advance(rec.n).through
+    through = engine.advance(rec.n).through
     i, j = rec.pair
     points = engine.points
     between = on_open_segment(points[rec.n - 1], points[i - 1], points[j - 1])
@@ -182,7 +182,7 @@ def _parameter_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
 def _selection_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
     """Counterexample when the record's pair is not the least ordinary
     pair over the points placed before it, else None."""
-    failure = _selection_counterexample(rec.pair, engine.lines.advance(rec.n).before)
+    failure = _selection_counterexample(rec.pair, engine.advance(rec.n).before)
     return failure and {**failure, "n": rec.n}
 
 
@@ -252,11 +252,12 @@ class _Engine:
     """Fed points one at a time, and each insertion record after its point.
 
     Every check reads one `LineIncidenceMap` over the raw coordinates fed,
-    never the construction's bookkeeping.  A point check first has it
-    order the lines touched since the last report, and refreshes their
-    lemma failures and their consecutive pairs in ``consecutive``.
-    Records are judged on arrival by the selected trace checks; those
-    that ask which pairs are collinear advance the pass to the record.
+    never the construction's bookkeeping; `advance` feeds it and notes the
+    lines each point joins.  A point check first feeds every point, then
+    refreshes the lemma failures and the consecutive pairs, in
+    ``consecutive``, of the lines joined since the last report.  Records
+    are judged on arrival by the selected trace checks; those that ask
+    which pairs are collinear advance the map to the record.
     ``pending=None`` stands for the pending set of a valid run: exactly
     the pairs whose line carries no third point.
     """
@@ -277,6 +278,8 @@ class _Engine:
         self.hom: list[tuple[int, int, int]] = []
         self._index: dict[tuple[int, int, int], int] = {}  # hom -> 1-based index
         self.lines = LineIncidenceMap(self.hom)
+        self._joined: set[tuple[int, int]] = set()  # keys of lines joined since grown
+        self._grown = 0  # points fed when grown last ran
         self.records = 0
         self.failures: dict[str, dict] = {}  # first failure per trace check
         # lemma failures per line of >= 3 points, by the key of lines.multi
@@ -305,31 +308,42 @@ class _Engine:
     def report(self, name: str) -> VerificationReport:
         return CHECKS[name].report(self)
 
+    def advance(self, n: int) -> LineIncidenceMap:
+        """The map fed up to point n, noting the lines each point joins."""
+        lines = self.lines
+        for m in range(lines.n + 1, n + 1):
+            self._joined.update((g[0], g[1]) for g in lines.advance(m).through)
+        return lines
+
     def grown(self) -> LineIncidenceMap:
-        """The line pass over every point fed, lemma failures and
+        """The map over every point fed, lemma failures and
         ``consecutive`` refreshed."""
-        lines, edges = self.lines, self.consecutive
-        for key, old in lines.order(self.points).items():
-            order = lines.along[key][1]
-            if old is not None:
+        lines, edges = self.advance(len(self.hom)), self.consecutive
+        for key in self._joined:
+            order = lines.multi[key]
+            # the line as the last refresh saw it, if it had three points
+            old = [m for m in order if m <= self._grown]
+            if len(old) > 2:
                 for u, v in zip(old, old[1:]):
                     edges.remove(u, v)
             for u, v in zip(order, order[1:]):
                 edges.add(u, v)
-            self._lemma[key] = _lemma_line_failures(order, self.points)
+            self._lemma[key] = _lemma_line_failures(order)
+        self._joined.clear()
+        self._grown = lines.n
         return lines
 
     def _no_k_collinear(self) -> VerificationReport:
         lines = self.grown()
         n = len(self.points)
-        big = [(members, lines.along[key][0])
+        big = [(sorted(members), lines.line(key))
                for key, members in lines.multi.items() if len(members) >= self.k]
         worst = min(big, default=None)
         max_size = max(map(len, lines.multi.values()), default=min(n, 2))
         return VerificationReport(
             f"no{self.k}collinear",
             worst is None,
-            None if worst is None else {"indices": list(worst[0]), "line": worst[1]._asdict()},
+            None if worst is None else {"indices": worst[0], "line": worst[1]._asdict()},
             {"points": n, "lines": len(lines), "max_collinear": max_size},
         )
 

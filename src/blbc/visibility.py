@@ -8,9 +8,10 @@ grouping earlier points by exact direction from each new one, and is the
 package's only incidence structure: the construction grows one instance
 point by point for its pending pairs, while the verifier, the analyzer
 and the renderer each build their own, the visible pairs being the
-neighbours along each line.  The map keeps the sparse side of its pairs:
-``covered``, the pairs on lines of three or more points; its
-``two_point`` is a read-only view of every other pair, `TwoPointPairs`.
+neighbours in the map's order along each line, kept as points are fed.
+The map keeps the sparse side of its pairs: ``covered``, the pairs on
+lines of three or more points; its ``two_point`` is a read-only view of
+every other pair, `TwoPointPairs`.
 The exclusion kernel behind `blocking_parameters` reads no line
 structure: it loops over pairs of points and their homogeneous
 coordinates, in integers only, and keys each crossing by one int made
@@ -22,6 +23,7 @@ implementation of visibility is kept alongside as the oracle.
 from __future__ import annotations
 
 import enum
+from bisect import insort
 from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,15 +118,6 @@ def _coerce_point(raw: Sequence, pos: int) -> Point:
     return Point(Fraction(x), Fraction(y))
 
 
-def _sorted_along_line(
-    indices: Iterable[int], points: Sequence[Point], line: CanonicalLine
-) -> list[int]:
-    """Indices ordered by position along the line (1-based indices)."""
-    if line.b == 0:
-        return sorted(indices, key=lambda i: points[i - 1].y)
-    return sorted(indices, key=lambda i: points[i - 1].x)
-
-
 def _is_pair(pair: object, n: int) -> bool:
     """True iff ``pair`` is a tuple of two ints i, j with 1 <= i < j <= n."""
     if not isinstance(pair, tuple) or len(pair) != 2:
@@ -193,15 +186,16 @@ class LineIncidenceMap:
     A lone point r leaves {r, n} a two-point line; a group of two turns
     its pair's line into a three-point one; a larger group is a line of
     ``multi`` that n joins.  ``multi`` maps each line of three or more
-    points to its ascending members, keyed by its two least indices, and
+    points, keyed by its two least indices, to its members in order along
+    it in the frame of ``hom``, by x or by y on a vertical line; affine
+    maps keep betweenness, so their consecutive pairs are the raw ones.
     ``covered`` holds every pair (i < j) on such a line.  ``two_point``
     is a read-only view of the other pairs, those whose line carries no
-    third point; only ``covered`` is stored.  `order` keeps
-    ``along[key]``, the line and its members in order along it.
-    ``through`` lists the groups of the last point fed: the earlier points
-    sharing a line with it.  ``before`` is the least two-point pair, in
-    (j, i) order, over the points placed before the last one: the pair
-    the construction must have selected.
+    third point; only ``covered`` is stored.  ``through`` lists the
+    ascending groups of the last point fed: the earlier points sharing a
+    line with it.  ``before`` is the least two-point pair, in (j, i)
+    order, over the points placed before the last one: the pair the
+    construction must have selected.
     """
 
     def __init__(self, hom: list[tuple[int, int, int]]) -> None:
@@ -209,10 +203,8 @@ class LineIncidenceMap:
         self.n = 0
         self.covered: set[tuple[int, int]] = set()
         self.multi: dict[tuple[int, int], list[int]] = {}
-        self.along: dict[tuple[int, int], tuple[CanonicalLine, list[int]]] = {}
         self.through: list[list[int]] = []
         self.before: tuple[int, int] | None = None
-        self._touched: set[tuple[int, int]] = set()  # keys of multi not yet ordered
         # (j, i) of the least pair that may be two-point; it only moves
         # forward, as pairs become covered for good and new pairs sort
         # after old ones
@@ -268,38 +260,31 @@ class LineIncidenceMap:
                 if dx < 0 or (dx == 0 and dy < 0):
                     g = -g
                 buckets.setdefault((dx // g, dy // g), []).append(r)
-            self.through = [group for group in buckets.values() if len(group) > 1]
-            for group in self.through:
+            self.through = []
+            for (ux, uy), group in buckets.items():
+                if len(group) == 1:
+                    continue
+                self.through.append(group)
+
+                def along(r: int) -> Fraction:  # exact position along (ux, uy)
+                    x, y, w = self.hom[r - 1]
+                    return Fraction(ux * x + uy * y, w)
+
                 key = (group[0], group[1])
                 if len(group) == 2:
-                    self.multi[key] = [*group, m]
+                    self.multi[key] = sorted([*group, m], key=along)
                     covered.add(key)
                 else:
-                    self.multi[key].append(m)
+                    insort(self.multi[key], m, key=along)
                 covered.update((r, m) for r in group)
-                self._touched.add(key)
         return self
 
-    def order(self, points: Sequence[Point]) -> dict[tuple[int, int], list[int] | None]:
-        """Feed every point of ``points``, then refresh ``along`` for the
-        lines of ``multi`` touched since the last call; returns their keys,
-        each with its previous order along the line, None for a new line."""
-        self.advance(len(points))
-        touched, self._touched = self._touched, set()
-        previous: dict[tuple[int, int], list[int] | None] = {}
-        for key in touched:
-            line = self.line(key)
-            old = self.along.get(key)
-            previous[key] = None if old is None else old[1]
-            self.along[key] = (line, _sorted_along_line(self.multi[key], points, line))
-        return previous
-
     def consecutive(self) -> list[tuple[int, int]]:
-        """Visible pairs (i < j) on the lines of ``along``: neighbours along
+        """Visible pairs (i < j) on the lines of ``multi``: neighbours along
         each line of three or more points."""
         return [
             (u, v) if u < v else (v, u)
-            for _, order in self.along.values()
+            for order in self.multi.values()
             for u, v in zip(order, order[1:])
         ]
 
@@ -373,20 +358,14 @@ def build_visibility_graph_naive(ps: PointSet) -> VisibilityGraph:
     return VisibilityGraph(ps.n, edges)
 
 
-def _ordered_lines(ps: PointSet) -> LineIncidenceMap:
-    lines = LineIncidenceMap.from_point_set(ps)
-    lines.order(ps.points)
-    return lines
-
-
 def _graph(lines: LineIncidenceMap) -> VisibilityGraph:
     """A pair is visible exactly when it is consecutive along the (unique)
-    line through it; ``lines`` must be ordered."""
+    line through it."""
     return VisibilityGraph(lines.n, chain(lines.two_point, lines.consecutive()))
 
 
 def _largest_line(lines: LineIncidenceMap) -> tuple[int, list[int]]:
-    best = min(lines.multi.values(), key=lambda m: (-len(m), m), default=None)
+    best = min(map(sorted, lines.multi.values()), key=lambda m: (-len(m), m), default=None)
     # with no line of three points every pair is two-point, (1, 2) least
     witness = list(best or (1, 2))
     return len(witness), witness
@@ -399,7 +378,7 @@ def _largest_clique(graph: VisibilityGraph, cap: int | None) -> tuple[int, list[
 
 def build_visibility_graph(ps: PointSet) -> VisibilityGraph:
     """Visibility graph via the lines of ps."""
-    return _graph(_ordered_lines(ps))
+    return _graph(LineIncidenceMap.from_point_set(ps))
 
 
 def max_collinear(ps: PointSet) -> tuple[int, list[int]]:
@@ -470,7 +449,7 @@ def check_blbc_instance(ps: PointSet, k: int, l: int) -> BlbcVerdict:
         raise InputError(f"thresholds must be >= 2, got k={k}, l={l}")
     if ps.n < 1:
         raise InputError("check_blbc_instance needs a non-empty point set")
-    lines = _ordered_lines(ps)
+    lines = LineIncidenceMap.from_point_set(ps)
     col_size, col_wit = _largest_line(lines) if ps.n >= 2 else (1, [1])
     cl_size, cl_wit = _largest_clique(_graph(lines), cap=k)
 

@@ -457,3 +457,24 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "generate" in capsys.readouterr().out
+
+
+def verify_help(capsys):
+    assert main(["verify", "--help"]) == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_verify_help_names_the_checks(capsys):
+    assert (
+        "comma-separated subset of: no4collinear, uniquetriple, visiblepairlemma, "
+        "trianglepending, exclusionbound, ordinaryoracle, segmentparameter "
+        "(default: all applicable except ordinaryoracle and segmentparameter)"
+    ) in verify_help(capsys)
+
+
+def test_verify_help_follows_the_registry(capsys, monkeypatch):
+    monkeypatch.setitem(CHECKS, "extracheck", CHECKS["ordinaryoracle"])
+    assert (
+        "segmentparameter, extracheck (default: all applicable except "
+        "ordinaryoracle and segmentparameter and extracheck)"
+    ) in verify_help(capsys)

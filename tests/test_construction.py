@@ -384,6 +384,24 @@ def test_generate_from_custom_seed():
     assert state.pending == lmap.two_point_pairs()
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [[(0, 0), (0, 1), (-1, 0)], [(5, 7), (5, 9), (2, 7)], DEFAULT_SEED],
+    ids=["turned", "shifted_and_turned", "default"],
+)
+def test_construction_map_orders_its_lines_in_the_seed_frame(seed):
+    # the map holds the points in the seed's frame, where the seed is
+    # (0,0), (1,0), (0,1); an affine map keeps betweenness, so the map's
+    # consecutive pairs are the raw visible pairs on lines of three.
+    # Every two-point pair is visible, so only the others need the
+    # per-pair test of build_visibility_graph_naive.
+    for state in generate_states(seed, 40):
+        ps = state.point_set()
+        visible = {pair for pair in itertools.combinations(range(1, ps.n + 1), 2)
+                   if pair not in state.lines.two_point and is_visible(*pair, ps)}
+        assert set(state.lines.consecutive()) == visible
+
+
 def test_construction_invariants_hold_along_run():
     for state in generate_states(DEFAULT_SEED, 20):
         lmap = LineIncidenceMap.from_point_set(state.point_set())
@@ -419,7 +437,7 @@ def test_no_selectable_pair_left_behind():
     last_key = state.trace[-1].pair.key
     selected = {rec.pair for rec in state.trace}
     on_full_line = {
-        (lst[a], lst[b])
+        tuple(sorted((lst[a], lst[b])))
         for lst in state.lines.multi.values()
         for a in range(3)
         for b in range(a + 1, 3)

@@ -12,9 +12,11 @@ from blbc.construction import (
     DEFAULT_SEED,
     InsertionRecord,
     OrdinaryPair,
+    excluded_parameters,
     generate,
     generate_states,
     init_state,
+    insert_point,
 )
 from blbc.errors import ConsistencyError, InputError
 from blbc.geometry import Orientation, Point, on_open_segment, orientation, segment_param_point
@@ -232,8 +234,7 @@ def test_lemma_line_failures_reports_not_between():
     # index 3 at an end of the line: pair (1, 3) has its larger index
     # outside the other two, which the per-line helper must flag; the
     # helper takes the line's indices in order along it
-    points = [Point(F(1), F(0)), Point(F(2), F(0)), Point(F(0), F(0))]
-    failures = _lemma_line_failures([3, 1, 2], points)
+    failures = _lemma_line_failures([3, 1, 2])
     assert {f["reason"] for f in failures} == {"third_not_earlier", "not_between"}
     by_pair = {tuple(f["pair"]): f["reason"] for f in failures}
     assert by_pair[(1, 3)] == "not_between"
@@ -854,6 +855,43 @@ def test_sweep_rejects_repeated_point():
               for n in (3, 4)]
     with pytest.raises(ConsistencyError, match="points 1 and 4 coincide"):
         verify_construction_run(iter(states), checks=["no4collinear"])
+
+
+def states_one_record_short():
+    states = [SimpleNamespace(points=list(s.points), trace=list(s.trace),
+                              pending=set(s.pending))
+              for s in generate_states(DEFAULT_SEED, 5)]
+    states[-1].trace.pop()
+    return states
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: excluded_parameters(generate(DEFAULT_SEED, 5), 5),
+         InputError, "pair must be two indices, got 5"),
+        (lambda: insert_point(generate(DEFAULT_SEED, 5), (1,), F(1, 2)),
+         InputError, "pair must be two indices, got (1,)"),
+        (lambda: PointSet([(1, 2, 3)]),
+         InputError, "point 1 is not an (x, y) pair: (1, 2, 3)"),
+        (lambda: max_visible_clique(PointSet([])),
+         InputError, "max_visible_clique needs a non-empty point set"),
+        (lambda: check_blbc_instance(PointSet([]), 2, 2),
+         InputError, "check_blbc_instance needs a non-empty point set"),
+        (lambda: blocking_parameters(PointSet(DEFAULT_SEED), 2, 2),
+         InputError, "need two distinct indices, got 2 twice"),
+        (lambda: verify_construction_run(states_one_record_short()),
+         ConsistencyError, "state with 5 points carries 1 records"),
+    ],
+    ids=["excluded_parameters_scalar_pair", "insert_point_short_pair",
+         "point_of_three_coordinates", "empty_clique_search", "empty_blbc_instance",
+         "blocking_on_one_index", "state_missing_a_record"],
+)
+def test_refusals_raise_their_input_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_report_equality_and_determinism():

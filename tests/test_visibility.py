@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from blbc.construction import DEFAULT_SEED, generate
 from blbc.errors import DuplicatePointError, ImpossibleStateError, InputError
-from blbc.geometry import Point, line_through
+from blbc.geometry import Point, line_through, on_open_segment
 from blbc.visibility import (
     BlbcOutcome,
     LineIncidenceMap,
@@ -86,7 +86,8 @@ def test_point_set_equality():
 
 
 def all_lines(lmap):
-    """Ascending member list of every line of the map."""
+    """Member list of every line of the map, two-point lines ascending and
+    the others in order along the line."""
     return [list(pair) for pair in lmap.two_point] + list(lmap.multi.values())
 
 
@@ -106,8 +107,9 @@ def test_incidence_map_pair_partition_random():
         lmap = LineIncidenceMap.from_point_set(ps)
         assert sum(comb(len(lst), 2) for lst in all_lines(lmap)) == comb(ps.n, 2)
         for idxs in all_lines(lmap):
-            assert idxs == sorted(idxs)
             assert len(idxs) >= 2
+            for a, b, c in zip(idxs, idxs[1:], idxs[2:]):
+                assert on_open_segment(ps.point(b), ps.point(a), ps.point(c))
             line = line_through(ps.point(idxs[0]), ps.point(idxs[1]))
             for i in idxs:
                 assert line.contains(ps.point(i))
