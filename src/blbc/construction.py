@@ -37,6 +37,7 @@ from .geometry import (
     Orientation,
     Point,
     _check_parameter,
+    _homogeneous,
     orientation,
     segment_param_point,
 )
@@ -245,10 +246,8 @@ def insert_point(
     ``state.trace[-1]``.  ``_excluded`` lets a caller that already
     computed the exclusion set skip recomputing it.
 
-    ``points`` gets the raw point p_i + t·(p_j − p_i).  The map gets the
-    same combination of the endpoints' frame coordinates, exactly, in
-    homogeneous integers: with t = p/q, (q − p)·w_j·(x_i, y_i) +
-    p·w_i·(x_j, y_j) over q·w_i·w_j, reduced.
+    ``points`` gets the raw point p_i + t·(p_j − p_i), and the map's
+    ``hom`` the point at the same t between the endpoints' frame points.
     """
     pair = _as_pending_pair(state, pair)
     i, j = pair
@@ -271,12 +270,8 @@ def insert_point(
     new_point = segment_param_point(state.point(i), state.point(j), t)
     state.points.append(new_point)
     hom = state.lines.hom
-    xa, ya, wa = hom[i - 1]
-    xb, yb, wb = hom[j - 1]
-    u, v = (t.denominator - t.numerator) * wb, t.numerator * wa
-    x, y, w = u * xa + v * xb, u * ya + v * yb, t.denominator * wa * wb
-    g = gcd(x, y, w)
-    hom.append((x // g, y // g, w // g))
+    a, b = (Point(Fraction(x, w), Fraction(y, w)) for x, y, w in (hom[i - 1], hom[j - 1]))
+    hom.append(_homogeneous(segment_param_point(a, b, t)))
     through = state.lines.advance(n).through
     if through != [[i, j]]:
         raise ImpossibleStateError(

@@ -33,8 +33,9 @@ with the engine's costs O(n) per prefix.  The engine keeps the
 consecutive pairs along its lines as a graph, with its triangles,
 updated from the lines each point joins.
 `verify_construction_run` reports after every point of a run; the
-per-set functions and `verify_points` feed a whole set and report once,
-so sweep and one-shot reports are identical by construction.  The
+per-set functions and `verify_points` feed a whole set and report once.
+Both select their checks through one `_selected`, so for any ``checks``
+the sweep's reports on a prefix are those of `verify_points` on it.  The
 independent references are brute force: `is_visible` and
 `build_visibility_graph_naive` decide visibility pair by pair.
 """
@@ -182,7 +183,8 @@ def _parameter_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
 def _selection_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
     """Counterexample when the record's pair is not the least ordinary
     pair over the points placed before it, else None."""
-    failure = _selection_counterexample(rec.pair, engine.advance(rec.n).before)
+    engine.advance(rec.n)
+    failure = _selection_counterexample(rec.pair, engine.before)
     return failure and {**failure, "n": rec.n}
 
 
@@ -252,8 +254,10 @@ class _Engine:
     """Fed points one at a time, and each insertion record after its point.
 
     Every check reads one `LineIncidenceMap` over the raw coordinates fed,
-    never the construction's bookkeeping; `advance` feeds it and notes the
-    lines each point joins.  A point check first feeds every point, then
+    never the construction's bookkeeping; `advance` feeds it, notes the
+    lines each point joins and sets ``before``, the least two-point pair
+    before the last point fed, the pair the construction must have
+    selected.  A point check first feeds every point, then
     refreshes the lemma failures and the consecutive pairs, in
     ``consecutive``, of the lines joined since the last report.  Records
     are judged on arrival by the selected trace checks; those that ask
@@ -276,8 +280,8 @@ class _Engine:
         self.pending = pending
         self.points: list[Point] = []
         self.hom: list[tuple[int, int, int]] = []
-        self._index: dict[tuple[int, int, int], int] = {}  # hom -> 1-based index
         self.lines = LineIncidenceMap(self.hom)
+        self.before: tuple[int, int] | None = None
         self._joined: set[tuple[int, int]] = set()  # keys of lines joined since grown
         self._grown = 0  # points fed when grown last ran
         self.records = 0
@@ -288,12 +292,8 @@ class _Engine:
         self.consecutive = _Triangles()
 
     def feed_point(self, p: Point) -> None:
-        h, n = _homogeneous(p), len(self.hom) + 1
-        first = self._index.setdefault(h, n)
-        if first != n:
-            raise ConsistencyError(f"points {first} and {n} coincide")
         self.points.append(p)
-        self.hom.append(h)
+        self.hom.append(_homogeneous(p))
 
     def feed_record(self, rec: InsertionRecord) -> None:
         _require_record_ints(rec)
@@ -309,9 +309,11 @@ class _Engine:
         return CHECKS[name].report(self)
 
     def advance(self, n: int) -> LineIncidenceMap:
-        """The map fed up to point n, noting the lines each point joins."""
+        """The map fed up to point n, noting ``before`` and the lines each
+        point joins."""
         lines = self.lines
         for m in range(lines.n + 1, n + 1):
+            self.before = lines.least()
             self._joined.update((g[0], g[1]) for g in lines.advance(m).through)
         return lines
 
@@ -427,15 +429,23 @@ CHECKS: dict[str, _Check] = {
     "ordinaryoracle": _Check(_Engine._ordinary_oracle, _selection_failure, default=False),
     "segmentparameter": _Check(_Engine._segment_parameter, _parameter_failure, default=False),
 }
-CHECK_ORDER = tuple(name for name, check in CHECKS.items() if check.default)
 
 
-def _known(checks: Iterable[str]) -> list[str]:
+def _selected(checks: Iterable[str] | None, traced: bool) -> list[str]:
+    """The named checks once each, in `CHECKS` order, or by default every
+    default check the inputs allow; without a trace, a named check that
+    needs one is refused."""
+    if checks is None:
+        return [name for name, check in CHECKS.items()
+                if check.default and (traced or not check.needs_trace)]
     names = list(checks)
     for name in names:
         if name not in CHECKS:
             raise InputError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
-    return names
+    missing = sorted({name for name in names if CHECKS[name].needs_trace})
+    if missing and not traced:
+        raise InputError(f"check(s) {', '.join(missing)} need --trace")
+    return [name for name in CHECKS if name in names]
 
 
 def _run(
@@ -471,17 +481,10 @@ def verify_points(
     must describe the run that built ps, whichever checks are named;
     otherwise ConsistencyError.
     """
-    if checks is None:
-        checks = [name for name, check in CHECKS.items()
-                  if check.default and (trace is not None or not check.needs_trace)]
-    names = set(_known(checks))
-    if trace is None:
-        missing = sorted(name for name in names if CHECKS[name].needs_trace)
-        if missing:
-            raise InputError(f"check(s) {', '.join(missing)} need --trace")
-    else:
+    selected = _selected(checks, trace is not None)
+    if trace is not None:
         _check_trace_against_points(ps, trace)
-    return _run([name for name in CHECKS if name in names], ps.points, trace or ())
+    return _run(selected, ps.points, trace or ())
 
 
 def verify_no_k_collinear(ps: PointSet, k: int = 4) -> VerificationReport:
@@ -549,21 +552,21 @@ def verify_trace_selections(
 
 def verify_construction_run(
     states: Iterable[ConstructionState],
-    k: int = 4,
-    checks: Sequence[str] | None = None,
+    checks: Iterable[str] | None = None,
 ) -> tuple[list[tuple[int, list[VerificationReport]]], ConstructionState]:
-    """Run the checks (default `CHECK_ORDER`) on every yielded state of a
-    construction run.
+    """Run on every yielded state of a construction run the checks that
+    `verify_points` runs given a trace: the named ones, once each in
+    `CHECKS` order, by default every default check.
 
     ``states`` is consumed once (pass ``generate_states(...)`` directly).
-    Returns the per-prefix reports plus the final state.  Reports are
-    those of the per-set checks on each prefix.  Raises ConsistencyError
-    if the yielded states do not grow one point at a time from a seed
-    triple, or if a state's pending set diverges from the two-point lines
-    of its own points.
+    Returns the per-prefix reports plus the final state.  Each prefix's
+    reports are those of `verify_points` on its points and trace.  Raises
+    ConsistencyError if the yielded states do not grow one point at a time
+    from a seed triple, or if a state's pending set diverges from the
+    two-point lines of its own points.
     """
-    selected = list(CHECK_ORDER) if checks is None else _known(checks)
-    engine = _Engine(selected, k)
+    selected = _selected(checks, traced=True)
+    engine = _Engine(selected)
     results: list[tuple[int, list[VerificationReport]]] = []
     state: ConstructionState | None = None
 

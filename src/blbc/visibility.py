@@ -193,18 +193,16 @@ class LineIncidenceMap:
     is a read-only view of the other pairs, those whose line carries no
     third point; only ``covered`` is stored.  ``through`` lists the
     ascending groups of the last point fed: the earlier points sharing a
-    line with it.  ``before`` is the least two-point pair, in (j, i)
-    order, over the points placed before the last one: the pair the
-    construction must have selected.
+    line with it.  Feeding a point that repeats an earlier one raises
+    DuplicatePointError.
     """
 
     def __init__(self, hom: list[tuple[int, int, int]]) -> None:
-        self.hom = hom  # read as it grows; its points must be pairwise distinct
+        self.hom = hom  # read as it grows; a repeated point is refused when fed
         self.n = 0
         self.covered: set[tuple[int, int]] = set()
         self.multi: dict[tuple[int, int], list[int]] = {}
         self.through: list[list[int]] = []
-        self.before: tuple[int, int] | None = None
         # (j, i) of the least pair that may be two-point; it only moves
         # forward, as pairs become covered for good and new pairs sort
         # after old ones
@@ -245,11 +243,11 @@ class LineIncidenceMap:
         return (i, j) if j <= self.n else None
 
     def advance(self, n: int) -> LineIncidenceMap:
-        """Feed points up to n; ``through`` and ``before`` then describe n."""
+        """Feed points up to n; ``through`` then describes n."""
+        if n > len(self.hom):
+            raise InputError(f"cannot feed point {n}: the map holds {len(self.hom)} points")
         covered = self.covered
         for m in range(self.n + 1, n + 1):
-            self.before = self.least()
-            self.n = m
             hx, hy, hw = self.hom[m - 1]
             buckets: dict[tuple[int, int], list[int]] = {}
             for r in range(1, m):
@@ -257,9 +255,12 @@ class LineIncidenceMap:
                 dx = rx * hw - hx * rw
                 dy = ry * hw - hy * rw
                 g = gcd(dx, dy)
+                if g == 0:
+                    raise DuplicatePointError(f"points {r} and {m} coincide")
                 if dx < 0 or (dx == 0 and dy < 0):
                     g = -g
                 buckets.setdefault((dx // g, dy // g), []).append(r)
+            self.n = m
             self.through = []
             for (ux, uy), group in buckets.items():
                 if len(group) == 1:

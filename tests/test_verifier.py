@@ -18,10 +18,9 @@ from blbc.construction import (
     init_state,
     insert_point,
 )
-from blbc.errors import ConsistencyError, InputError
+from blbc.errors import ConsistencyError, DuplicatePointError, InputError
 from blbc.geometry import Orientation, Point, on_open_segment, orientation, segment_param_point
 from blbc.verifier import (
-    CHECK_ORDER,
     CHECKS,
     VerificationReport,
     _lemma_line_failures,
@@ -739,8 +738,9 @@ def test_trianglepending_missing_edge_matches_oracle():
 def test_sweep_passes_and_covers_every_prefix():
     results, final = verify_construction_run(generate_states(DEFAULT_SEED, 40))
     assert [n for n, _ in results] == list(range(3, 41))
+    defaults = [name for name, check in CHECKS.items() if check.default]
     for n, reports in results:
-        assert [r.check for r in reports] == list(CHECK_ORDER)
+        assert [r.check for r in reports] == defaults
         assert all(r.passed for r in reports), n
     assert final.points == generate(DEFAULT_SEED, 40).points
 
@@ -748,12 +748,23 @@ def test_sweep_passes_and_covers_every_prefix():
 def test_sweep_check_subset_and_threshold():
     results, _ = verify_construction_run(
         generate_states(DEFAULT_SEED, 10),
-        k=5,
         checks=["no4collinear", "trianglepending"],
     )
     for _, reports in results:
-        assert [r.check for r in reports] == ["no5collinear", "trianglepending"]
+        assert [r.check for r in reports] == ["no4collinear", "trianglepending"]
         assert all(r.passed for r in reports)
+
+
+def test_sweep_selects_checks_as_verify_points_does():
+    # repeated and out-of-order names: each check once, in CHECKS order
+    names = ["trianglepending", "no4collinear", "no4collinear"]
+    snapshots = [(PointSet(s.points), list(s.trace))
+                 for s in generate_states(DEFAULT_SEED, 10)]
+    results, _ = verify_construction_run(generate_states(DEFAULT_SEED, 10), checks=names)
+    assert len(results) == len(snapshots) == 8
+    for (n, reports), (ps, trace) in zip(results, snapshots):
+        assert [r.check for r in reports] == ["no4collinear", "trianglepending"]
+        assert reports == verify_points(ps, trace, names), n
 
 
 def test_sweep_rejects_unknown_check():
@@ -853,7 +864,7 @@ def test_sweep_rejects_repeated_point():
     states = [SimpleNamespace(points=points[:n], trace=trace[: n - 3],
                               pending=oracle_two_point_pairs(points[:n]) if n == 3 else set())
               for n in (3, 4)]
-    with pytest.raises(ConsistencyError, match="points 1 and 4 coincide"):
+    with pytest.raises(DuplicatePointError, match="points 1 and 4 coincide"):
         verify_construction_run(iter(states), checks=["no4collinear"])
 
 
@@ -937,7 +948,6 @@ def test_indices_must_be_ints(call):
     [
         lambda: verify_no_k_collinear(SQUARE, 3.5),
         lambda: verify_no_k_collinear(SQUARE, "4"),
-        lambda: verify_construction_run(generate_states(DEFAULT_SEED, 5), k=3.5),
         lambda: check_blbc_instance(SQUARE, 2.5, 3),
         lambda: check_blbc_instance(SQUARE, 3, 2.5),
         lambda: check_blbc_instance(SQUARE, "3", 3),
@@ -946,7 +956,7 @@ def test_indices_must_be_ints(call):
         lambda: generate(DEFAULT_SEED, 4.5),
         lambda: generate(DEFAULT_SEED, "5"),
     ],
-    ids=["nokcollinear-float", "nokcollinear-str", "sweep-float", "blbc-k-float",
+    ids=["nokcollinear-float", "nokcollinear-str", "blbc-k-float",
          "blbc-l-float", "blbc-k-str", "cap-float", "cap-bool", "count-float",
          "count-str"],
 )

@@ -225,6 +225,21 @@ def test_from_point_set_reads_raw_sequences_through_point_set():
         LineIncidenceMap.from_point_set([Point(0, 0), Point(0, 0)])
 
 
+def test_advance_refuses_a_repeated_point():
+    # the third triple is the origin again, written with W = 2
+    lmap = LineIncidenceMap([(0, 0, 1), (1, 0, 1), (0, 0, 2)])
+    with pytest.raises(DuplicatePointError, match="^points 1 and 3 coincide$"):
+        lmap.advance(3)
+    assert lmap.n == 2 and not lmap.covered
+
+
+def test_advance_refuses_to_feed_past_the_points_held():
+    lmap = LineIncidenceMap([(0, 0, 1), (1, 0, 1)])
+    with pytest.raises(InputError, match="^cannot feed point 3: the map holds 2 points$"):
+        lmap.advance(3)
+    assert lmap.n == 0
+
+
 def test_max_collinear_breaks_ties_to_smallest_indices():
     # two 3-point lines: y=0 carries {1,2,3}, x=0 carries {1,4,5}
     ps = PointSet([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)])
