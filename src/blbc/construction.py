@@ -204,10 +204,11 @@ def excluded_parameters(state: ConstructionState, pair: Sequence[int]) -> Exclus
     """Parameters t in (0, 1) ruled out for inserting on ``pair``: values
     where the new point would land on a line spanned by other points.
 
-    Same kernel as `blocking_parameters`, run pair by pair in integers on
-    the homogeneous coordinates of the map's frame, not on the raw
-    points: crossing parameters are affine-invariant.  It reads none of
-    the map's lines.  The result is an `ExclusionSet` of reduced integer
+    Same kernel as `blocking_parameters`, run in integers on the
+    homogeneous coordinates of the map's frame, not on the raw points:
+    crossing parameters are affine-invariant.  It reads none of the map's
+    lines, and visits only the pairs of points whose line crosses the
+    segment.  The result is an `ExclusionSet` of reduced integer
     keys.
     """
     i, j = _as_pending_pair(state, pair)

@@ -13,17 +13,19 @@ The map keeps the sparse side of its pairs: ``covered``, the pairs on
 lines of three or more points; its ``two_point`` is a read-only view of
 every other pair, `TwoPointPairs`.
 The exclusion kernel behind `blocking_parameters` reads no line
-structure: it loops over pairs of points and their homogeneous
-coordinates, in integers only, and keys each crossing by one int made
-from its reduced numerator and denominator; an `ExclusionSet` shows
-those keys as a set of Fractions.  A direct per-pair reference
-implementation of visibility is kept alongside as the oracle.
+structure: from the homogeneous coordinates, in integers only, it orders
+the other points by the lines joining them to the segment's endpoints,
+visits only the pairs whose line crosses the segment, and keys each
+crossing by one int made from its reduced numerator and denominator; an
+`ExclusionSet` shows those keys as a set of Fractions.  A direct
+per-pair reference implementation of visibility is kept alongside as
+the oracle.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import insort
+from bisect import bisect_left, insort
 from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
@@ -243,7 +245,11 @@ class LineIncidenceMap:
         return (i, j) if j <= self.n else None
 
     def advance(self, n: int) -> LineIncidenceMap:
-        """Feed points up to n; ``through`` then describes n."""
+        """Feed points up to n; ``through`` then describes n.  An n below
+        the points fed is refused; n equal to it changes nothing."""
+        _require_int(n, "point count")
+        if n < self.n:
+            raise InputError(f"cannot feed up to point {n}: {self.n} points are fed already")
         if n > len(self.hom):
             raise InputError(f"cannot feed point {n}: the map holds {len(self.hom)} points")
         covered = self.covered
@@ -564,10 +570,11 @@ def blocking_parameters(ps: PointSet, i: int, j: int) -> ExclusionSet:
 
     Each line through two other points that misses both endpoints crosses
     the segment's interior in at most one point; the returned set collects
-    the distinct crossing parameters, computed pair by pair from the
-    coordinates in integers.  When the pair's own line carries no third
-    point, placing a new point at any t outside this set creates exactly
-    one collinear triple: {p_i, new, p_j}.
+    the distinct crossing parameters, computed in integers from the
+    coordinates for the crossing pairs alone, which the kernel finds by
+    ordering the other points around each endpoint.  When the pair's own
+    line carries no third point, placing a new point at any t outside
+    this set creates exactly one collinear triple: {p_i, new, p_j}.
     """
     ps.point(i)
     ps.point(j)
@@ -580,41 +587,89 @@ def _crossing_parameters(hom: Sequence[tuple[int, int, int]], i: int, j: int) ->
     """The exclusion kernel: parameters t in (0, 1) where the line through
     two points of ``hom`` crosses the open segment (p_i, p_j).
 
-    With A = p_i, B = p_j and points P_m, P_r, ``fa = cross(dA_m, dA_r)``
-    is w_A times the determinant [A; P_m; P_r], where dA_k is the direction
-    of P_k from A, and ``fb`` likewise for B.  A zero means the line passes
-    through that endpoint (or the pair contains it), and then meets the
-    segment's line there alone; otherwise the line crosses the open
-    segment exactly when the signs differ, at
-    t = |fa|·wb² / (|fa|·wb² + |fb|·wa²).  Both terms are positive, so one
-    gcd reduces t to Fraction's own numerator and denominator, which the
-    loop turns into t's `_key`, inlined; the pairs of a line with three
-    points give the same key, kept once.
+    With A = p_i, B = p_j and u = B - A, each other point P off line AB
+    gets two order keys, the negated cotangents -dot(u, d)/cross(u, d)
+    of the lines AP and BP, with d = P - A or P - B flipped so that
+    cross(u, d) > 0.  A projective map sending A and B to the axes'
+    points at infinity makes these keys P's coordinates and the open
+    segment the negative slopes, so the line through P_m and P_r crosses
+    it exactly when their keys are strictly discordant (an equal key
+    means a line through A or B).  The sweep takes the points by
+    descending A-key, then B-key, and keeps those passed in B-key order:
+    each point's partners are the prefix below its own B-key, and no
+    other pair is visited.
+
+    For a partner, with both points' directions flipped as above,
+    ``fa = cross(dA_m, dA_r) > 0 > fb = cross(dB_m, dB_r)``, where dA_k
+    is w_A·w_k times P_k - A and dB_k likewise for B, and the line
+    crosses at t = fa·wb² / (fa·wb² - fb·wa²); each point's directions
+    are scaled by wb² and wa² once, before it meets its partners.  Both
+    terms are positive, so one gcd reduces t to Fraction's own numerator
+    and denominator, which the loop turns into t's `_key`, inlined; the
+    pairs of a line with three points give the same key, kept once.  A
+    point strictly inside the segment meets the line through it and any
+    point off AB at its own t.
     """
     xa, ya, wa = hom[i - 1]
     xb, yb, wb = hom[j - 1]
-    # each point's directions from A and from B
-    d = [(x * wa - xa * w, y * wa - ya * w, x * wb - xb * w, y * wb - yb * w)
-         for x, y, w in hom]
+    ux, uy = xb * wa - xa * wb, yb * wa - ya * wb  # wa·wb·(B - A)
     wa2, wb2 = wa * wa, wb * wb
     keys: set[int] = set()
     add = keys.add
-    for m, (amx, amy, bmx, bmy) in enumerate(d, start=1):
-        for arx, ary, brx, bry in d[m:]:
-            fa = amx * ary - amy * arx
-            # |fa|, and fb with the sign flipped when fa > 0: the signs
-            # differ exactly when that fb is positive
-            if fa > 0:
-                fb = bmy * brx - bmx * bry
-            elif fa < 0:
-                fa = -fa
-                fb = bmx * bry - bmy * brx
-            else:
-                continue
-            if fb > 0:
-                u = fa * wb2
-                v = u + fb * wa2
-                g = gcd(u, v)
-                v //= g
-                add(v * (v - 1) // 2 + u // g)
+    a_keys: list[tuple[int, int]] = []
+    b_keys: list[tuple[int, int]] = []
+    rows: list[tuple[int, int, int, int]] = []
+    on_segment: list[int] = []  # the keys of points strictly inside it
+    for m, (x, y, w) in enumerate(hom, start=1):
+        if m == i or m == j:
+            continue
+        ax, ay = x * wa - xa * w, y * wa - ya * w
+        bx, by = x * wb - xb * w, y * wb - yb * w
+        side = ux * ay - uy * ax
+        if side == 0:  # on line AB, at t = wb·dot(u, dA) / (w·|u|²)
+            num, den = wb * (ux * ax + uy * ay), w * (ux * ux + uy * uy)
+            if 0 < num < den:
+                g = gcd(num, den)
+                on_segment.append(_key(num // g, den // g))
+            continue
+        if side < 0:
+            ax, ay, bx, by, side = -ax, -ay, -bx, -by, -side
+        a_keys.append((-ux * ax - uy * ay, side))
+        b_keys.append((-ux * bx - uy * by, ux * by - uy * bx))
+        rows.append((ax, ay, bx, by))
+    if rows:
+        keys.update(on_segment)
+    # points of one line through A come by descending B-key, so none
+    # falls in the prefix of the next
+    order = sorted(zip(_order_keys(a_keys), _order_keys(b_keys), rows), reverse=True)
+    del a_keys, b_keys, rows  # freed before the key set grows
+    passed_b: list = []  # B-keys of the points passed, ascending
+    passed: list[tuple[int, int, int, int]] = []  # their directions
+    for _, b_key, row in order:
+        ax, ay, bx, by = row
+        ax, ay, bx, by = ax * wb2, ay * wb2, bx * wa2, by * wa2
+        pos = bisect_left(passed_b, b_key)
+        for rax, ray, rbx, rby in passed[:pos]:
+            num = ax * ray - ay * rax
+            den = num + by * rbx - bx * rby
+            g = gcd(num, den)
+            den //= g
+            add(den * (den - 1) // 2 + num // g)
+        passed_b.insert(pos, b_key)
+        passed.insert(pos, row)
     return ExclusionSet(keys)
+
+
+def _order_keys(values: list[tuple[int, int]]) -> list[int] | list[Fraction]:
+    """Exact order keys for the rationals num/den, den > 0: the floors of
+    their values times 2^64, or Fractions when two different values share
+    a floor.  Floor is monotone, so equal values get equal floors; the
+    floors keep the order exactly when there are as many of them as
+    distinct values."""
+    floors = [(num << 64) // den for num, den in values]
+    distinct = len(set(floors))
+    if distinct == len(values) or distinct == len(
+        {(num // g, den // g) for num, den in values for g in (gcd(num, den),)}
+    ):
+        return floors
+    return [Fraction(num, den) for num, den in values]

@@ -603,6 +603,76 @@ def test_wide_keys_beyond_64_bits_match_reference():
         insert_point(state, pair, choose_parameter(excluded), _excluded=excluded)
 
 
+def test_order_keys_closer_than_two_to_the_minus_64_stay_exact():
+    # seen from A, the cotangents of points 3 and 4 differ by 2^-71, so
+    # their floor keys (value * 2^64, rounded down) are equal; only the
+    # exact keys tell the two lines apart, and the line through the points
+    # crosses the segment at t = 2^-70, next to A
+    c = F(1, 2**70)
+    points = [(0, 0), (1, 0), (1 + c, 1), (2 + c, 2)]
+    excluded = blocking_parameters(PointSet(points), 1, 2)
+    assert excluded == {c}
+    assert excluded == reference_exclusions(PointSet(points).points, 1, 2)
+
+
+def test_frame_coordinates_over_1100_bits_match_reference():
+    # far beyond a float's range: an exact kernel must not care
+    rng = random.Random(11)
+    wide = [(F(rng.getrandbits(1100), rng.getrandbits(1100) | 1),
+             F(rng.getrandbits(1100), rng.getrandbits(1100) | 1)) for _ in range(10)]
+    state = state_from_points(wide)
+    assert min(max(map(abs, h)).bit_length() for h in state.lines.hom) > 1100
+    pair = select_ordinary_pair(state)
+    excluded = excluded_parameters(state, pair)
+    assert max(t.denominator.bit_length() for t in excluded) > 1100
+    assert excluded == reference_exclusions(state.points, *pair)
+
+
+def test_points_on_the_segment_line_alone_exclude_nothing():
+    # a point inside the segment excludes its own t only through a line
+    # to a point off AB
+    points = [(0, 0), (4, 0), (1, 0), (5, 0), (-1, 0)]
+    assert blocking_parameters(PointSet(points), 1, 2) == set()
+    assert blocking_parameters(PointSet([*points, (7, 3)]), 1, 2) == {F(1, 4)}
+
+
+_small = st.integers(-6, 6) | st.builds(F, st.integers(-12, 12), st.integers(1, 5))
+_nonzero = _small.filter(bool)
+
+
+@st.composite
+def segment_cases(draw):
+    """A segment AB and other points written as A + s(B - A) + h(B - A)⊥:
+    points on both sides of AB, three-point lines through A and through B,
+    and points on AB inside and outside the segment, in shuffled order."""
+    a = (draw(_small), draw(_small))
+    b = draw(st.tuples(_small, _small).filter(lambda p: p != a))
+    ux, uy = b[0] - a[0], b[1] - a[1]
+
+    def at(s, h):
+        return (a[0] + s * ux - h * uy, a[1] + s * uy + h * ux)
+
+    off = [at(draw(_small), h) for h in (abs(draw(_nonzero)), -abs(draw(_nonzero)))]
+    off += [at(draw(_small), draw(_nonzero)) for _ in range(draw(st.integers(0, 5)))]
+    beyond = draw(_small.filter(lambda s: not 0 <= s <= 1))
+    extra = [at(draw(st.fractions(0, 1).filter(lambda s: 0 < s < 1)), 0), at(beyond, 0)]
+    for end in (a, b):  # a third point on the line from an endpoint to another
+        px, py = draw(st.sampled_from(off))
+        lam = draw(_nonzero.filter(lambda v: v != 1))
+        extra.append((end[0] + lam * (px - end[0]), end[1] + lam * (py - end[1])))
+    others = list(dict.fromkeys(p for p in off + extra if p not in (a, b)))
+    points = draw(st.permutations([a, b, *others]))
+    return points, points.index(a) + 1, points.index(b) + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(segment_cases())
+def test_kernel_matches_reference_on_random_segments(case):
+    points, i, j = case
+    ps = PointSet(points)
+    assert blocking_parameters(ps, i, j) == reference_exclusions(ps.points, i, j)
+
+
 # seed coordinates: small ints, and fractions with up to 120-bit numerators
 # and 100-bit denominators
 _coords = st.integers(-3, 3) | st.builds(

@@ -240,6 +240,36 @@ def test_advance_refuses_to_feed_past_the_points_held():
     assert lmap.n == 0
 
 
+def three_on_a_line_map():
+    """Points 1, 2 and 3 on the x-axis, 4 and 5 off it, three fed."""
+    lmap = LineIncidenceMap(PointSet([(0, 0), (1, 0), (2, 0), (0, 1), (3, 5)]).homogeneous())
+    assert lmap.advance(3).through == [[1, 2]]
+    return lmap
+
+
+@pytest.mark.parametrize("n", [2, 0, -4])
+def test_advance_refuses_to_go_back(n):
+    # a stale ``through`` would still describe point 3
+    lmap = three_on_a_line_map()
+    with pytest.raises(InputError, match=f"^cannot feed up to point {n}: 3 points are fed already$"):
+        lmap.advance(n)
+    assert lmap.n == 3 and lmap.through == [[1, 2]]
+
+
+def test_advance_to_the_points_fed_changes_nothing():
+    lmap = three_on_a_line_map()
+    assert lmap.advance(3).through == [[1, 2]] and lmap.n == 3
+
+
+@pytest.mark.parametrize("n", [True, 4.0, "4"])
+def test_advance_refuses_a_non_int_count(n):
+    # True would feed one point, as if it were 1
+    lmap = LineIncidenceMap(PointSet([(0, 0), (1, 0), (2, 0)]).homogeneous())
+    with pytest.raises(InputError, match="^point count must be int"):
+        lmap.advance(n)
+    assert lmap.n == 0
+
+
 def test_max_collinear_breaks_ties_to_smallest_indices():
     # two 3-point lines: y=0 carries {1,2,3}, x=0 carries {1,4,5}
     ps = PointSet([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)])
