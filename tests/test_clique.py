@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blbc.clique import find_max_clique
 from blbc.construction import DEFAULT_SEED, generate
@@ -27,6 +28,54 @@ def brute_force_max_clique(vertices, adj):
             if all(b in adj[a] for a, b in combinations(combo, 2)):
                 return list(combo)
     return []
+
+
+def incumbent_only_max_clique(vertices, adjacency, cap=None):
+    """Reference: the same walk bounded only by ``len(clique) + |cand|``."""
+    adj = {v: frozenset(adjacency.get(v, ())) for v in vertices}
+    order = sorted(adj, key=lambda v: (-len(adj[v]), v))
+    bit = {v: 1 << r for r, v in enumerate(order)}
+    nbr = [sum(bit[w] for w in adj[v] if w in bit) for v in order]
+    best, clique, stack = [], [], []
+    cand, excl = (1 << len(order)) - 1, 0
+    while True:
+        if not cand and not excl:
+            if len(clique) > len(best):
+                best = sorted(clique)
+        elif len(clique) + cand.bit_count() > len(best):
+            pivot, cover, rest = 0, -1, cand | excl
+            while rest:
+                r = (rest & -rest).bit_length() - 1
+                rest ^= 1 << r
+                if (cand & nbr[r]).bit_count() > cover:
+                    pivot, cover = r, (cand & nbr[r]).bit_count()
+            stack.append([cand, excl, cand & ~nbr[pivot]])
+        while stack and not stack[-1][2]:
+            stack.pop()
+        if not stack:
+            return best
+        del clique[len(stack) - 1 :]
+        cand, excl, branch = stack[-1]
+        low = branch & -branch
+        stack[-1] = [cand ^ low, excl | low, branch ^ low]
+        r = low.bit_length() - 1
+        clique.append(order[r])
+        if len(clique) == cap:
+            return sorted(clique)
+        cand, excl = cand & nbr[r], excl & nbr[r]
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Random graphs on sparse ids, some neighbours outside the vertex list."""
+    ids = draw(st.lists(st.integers(1, 10**6), unique=True, max_size=24))
+    density = draw(st.sampled_from([0.2, 0.5, 0.8, 0.95]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = [e for e in combinations(ids, 2) if rng.random() < density]
+    adj = adjacency_from_edges(ids, edges)
+    if ids and draw(st.booleans()):
+        adj[ids[0]].add(10**6 + 1)  # a listed neighbour that gets no bit
+    return ids, adj
 
 
 def test_empty_graph():
@@ -136,6 +185,15 @@ def test_self_loop_rejected():
 def test_bad_cap_rejected():
     with pytest.raises(InputError):
         find_max_clique([1], {1: set()}, cap=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_graphs(), st.sampled_from([None, 1, 2, 3, 4, 5, 6, 7]))
+def test_colour_bound_returns_the_incumbent_only_witness(graph, cap):
+    # The colour bound prunes only subtrees that cannot beat the incumbent
+    # or reach the cap, so the witness is the plain bound's, not just its size.
+    ids, adj = graph
+    assert find_max_clique(ids, adj, cap=cap) == incumbent_only_max_clique(ids, adj, cap)
 
 
 def witness_family():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from blbc.construction import DEFAULT_SEED, generate
+from blbc.construction import DEFAULT_SEED, InsertionRecord, OrdinaryPair, generate
 from blbc.errors import FormatError
 from blbc.fileformat import (
     FORMAT_VERSION,
@@ -104,6 +104,49 @@ def test_point_file_round_trips_randomized():
         assert back.points == points
         assert back.metadata == meta
         assert serialize_point_file(back) == text
+
+
+# wide (hundreds of bits) and fractional coordinates
+_WIDE = st.builds(F, st.integers(-(2**400), 2**400), st.integers(1, 2**300))
+_POINTS = st.builds(Point, _WIDE, _WIDE)
+_METADATA = st.dictionaries(st.text(max_size=6), st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+), max_size=4)
+
+
+@st.composite
+def _traces(draw):
+    records = []
+    for n in range(4, 4 + draw(st.integers(0, 6))):
+        j = draw(st.integers(2, n - 1))
+        den = draw(st.integers(2, 2**200))
+        records.append(InsertionRecord(
+            n=n,
+            pair=OrdinaryPair(draw(st.integers(1, j - 1)), j),
+            excluded_count=draw(st.integers(min_value=0)),
+            chosen_t=F(draw(st.integers(1, den - 1)), den),
+            point=draw(_POINTS),
+        ))
+    return records
+
+
+@given(st.lists(_POINTS, max_size=6), st.none() | _METADATA)
+def test_point_file_parse_inverts_serialize(points, metadata):
+    text = serialize_point_file(PointFile(points=points, metadata=metadata))
+    back = parse_point_file(text)
+    assert (back.points, back.metadata) == (points, metadata)
+    assert serialize_point_file(back) == text
+
+
+@given(_traces())
+def test_trace_parse_inverts_serialize(records):
+    text = serialize_trace_file(records)
+    assert parse_trace_file(text) == records
+    assert serialize_trace_file(parse_trace_file(text)) == text
 
 
 def test_serializer_rejects_inexact_points():

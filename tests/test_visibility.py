@@ -439,6 +439,22 @@ def test_max_visible_clique_cap():
     assert max_visible_clique(ps, cap=10) == (4, [1, 2, 4, 5])
 
 
+@pytest.mark.parametrize("side", range(2, 13))
+def test_integer_lattice_has_visible_cliques_of_four_at_most(side):
+    # the midpoint of two lattice points of one parity class is a lattice
+    # point between them, so a clique takes at most one point of each of
+    # the four classes, and the unit square has one of each
+    lattice = PointSet([(x, y) for y in range(side) for x in range(side)])
+    assert max_visible_clique(lattice)[0] == 4
+
+
+def test_twelve_by_twelve_lattice_has_neither_structure():
+    lattice = PointSet([(x, y) for y in range(12) for x in range(12)])
+    verdict = check_blbc_instance(lattice, k=5, l=13)
+    assert verdict.outcome is BlbcOutcome.NEITHER_FOUND
+    assert (verdict.clique_size, verdict.collinear_size) == (4, 12)
+
+
 def test_max_visible_clique_witness_pairwise_visible():
     rng = random.Random(5)
     for _ in range(15):
