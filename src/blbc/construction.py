@@ -208,8 +208,8 @@ def excluded_parameters(state: ConstructionState, pair: Sequence[int]) -> Exclus
     homogeneous coordinates of the map's frame, not on the raw points:
     crossing parameters are affine-invariant.  It reads none of the map's
     lines, and visits only the pairs of points whose line crosses the
-    segment.  The result is an `ExclusionSet` of reduced integer
-    keys.
+    segment.  The result is an `ExclusionSet` of integer floor keys,
+    with no gcd taken.
     """
     i, j = _as_pending_pair(state, pair)
     return _crossing_parameters(state.lines.hom, i, j)

@@ -16,7 +16,9 @@ The exclusion kernel behind `blocking_parameters` reads no line
 structure: from the homogeneous coordinates, in integers only, it orders
 the other points by the lines joining them to the segment's endpoints,
 visits only the pairs whose line crosses the segment, and keys each
-crossing by one int made from its reduced numerator and denominator; an
+crossing by one int, the floor of its parameter times 2^bits, with bits
+wide enough, from a bound on the denominators proven from the call's own
+coordinates, that distinct parameters never share a floor; an
 `ExclusionSet` shows those keys as a set of Fractions.  A direct
 per-pair reference implementation of visibility is kept alongside as
 the oracle.
@@ -30,7 +32,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, gcd, isqrt
+from math import comb, gcd
 from typing import Iterable, Iterator, Sequence
 
 from .clique import find_max_clique
@@ -514,30 +516,40 @@ def _assert_pairwise_visible(ps: PointSet, witness: list[int]) -> None:
                 )
 
 
-def _key(num: int, den: int) -> int:
-    """The int that stands for the reduced t = num/den, 0 < num < den.
+def _key_bits(bound: int) -> int:
+    """Width of the floor keys of rationals whose reduced denominators are
+    at most ``bound``: the key of v is floor(v·2^bits), with bits
+    2·L + 1 for L = bound.bit_length(), so bound < 2^L.
 
-    The keys of one den are the den - 1 ints after those of all smaller
-    dens, so no two such t share one.  An int key holds less memory than
-    a pair or a Fraction and is no container for the garbage collector.
+    Two distinct such rationals differ by at least 1/bound², more than
+    2·2^-bits, so their floors differ; equal ones share a floor however
+    they are written.  A rational whose reduced denominator is below 2^L
+    still differs from each of them by more than 2^-2L, so it shares no
+    floor with one it does not equal.  This is the gap between Farey
+    neighbours (Hardy & Wright, ch. III).
     """
-    return den * (den - 1) // 2 + num
+    return 2 * bound.bit_length() + 1
 
 
 class ExclusionSet(Set):
     """Read-only set of the parameters t in (0, 1) that one insertion
-    rules out, held as the `_key` ints of their reduced numerators and
-    denominators.
+    rules out, held as their `_key_bits` floor keys: ints floor(t·2^bits),
+    where every member's reduced denominator is below 2^((bits − 1)//2).
 
-    ``in`` takes a Fraction and looks up its key; iteration yields
-    Fractions.  Through the `Set` mixins it compares equal to the
-    ``set[Fraction]`` of the same parameters, in either operand order.
+    ``in`` takes a Fraction: one outside (0, 1), or whose reduced
+    denominator reaches that power of two, is no member, and any other is
+    a member exactly when its floor is a key.  Iteration yields each
+    member as the one fraction with a denominator in reach that is
+    nearest its floor's midpoint.  Through the `Set` mixins it compares
+    equal to the ``set[Fraction]`` of the same parameters, in either
+    operand order.
     """
 
-    __slots__ = ("_keys",)
+    __slots__ = ("_keys", "_bits")
 
-    def __init__(self, keys: set[int]) -> None:
+    def __init__(self, keys: set[int], bits: int) -> None:
         self._keys = keys
+        self._bits = bits
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -545,14 +557,21 @@ class ExclusionSet(Set):
     def __contains__(self, t: object) -> bool:
         _require_fraction(t)
         num, den = t.numerator, t.denominator
-        # keys stand only for t in (0, 1): 3/2 would share 1/3's
-        return 0 < num < den and _key(num, den) in self._keys
+        bits = self._bits
+        # a denominator out of reach could share a member's floor
+        return (
+            0 < num < den
+            and den.bit_length() <= (bits - 1) >> 1
+            and (num << bits) // den in self._keys
+        )
 
     def __iter__(self) -> Iterator[Fraction]:
+        bits = self._bits
+        reach = 1 << ((bits - 1) >> 1)
         for key in self._keys:
-            # (2den - 1)² <= 8key - 7 < (2den + 1)² for each key of den
-            den = (1 + isqrt(8 * key - 7)) // 2
-            yield Fraction(key - den * (den - 1) // 2, den)
+            # the member is within 2^-(bits + 1) of the midpoint, every
+            # other fraction in reach more than three times as far
+            yield Fraction(2 * key + 1, 2 << bits).limit_denominator(reach)
 
     @classmethod
     def _from_iterable(cls, it: Iterable[Fraction]) -> set[Fraction]:
@@ -603,23 +622,25 @@ def _crossing_parameters(hom: Sequence[tuple[int, int, int]], i: int, j: int) ->
     ``fa = cross(dA_m, dA_r) > 0 > fb = cross(dB_m, dB_r)``, where dA_k
     is w_A·w_k times P_k - A and dB_k likewise for B, and the line
     crosses at t = fa·wb² / (fa·wb² - fb·wa²); each point's directions
-    are scaled by wb² and wa² once, before it meets its partners.  Both
-    terms are positive, so one gcd reduces t to Fraction's own numerator
-    and denominator, which the loop turns into t's `_key`, inlined; the
-    pairs of a line with three points give the same key, kept once.  A
-    point strictly inside the segment meets the line through it and any
-    point off AB at its own t.
+    are scaled by wb² and wa² once, before it meets its partners.  The
+    loop keys t, unreduced, by its `_key_bits` floor, whose width is
+    fixed before the sweep: wa divides fa and wb divides fb, so wa·wb
+    divides both terms of the fraction, and |fa| <= max |dA|², |fb| <=
+    max |dB|², so (wb²·max |dA|² + wa²·max |dB|²) / (wa·wb) bounds every
+    reduced denominator.  The pairs of a line with three points give the
+    same key, kept once.  A point strictly inside the segment meets the
+    line through it and any point off AB at its own t, whose unreduced
+    denominator w·|u|² joins the bound.
     """
     xa, ya, wa = hom[i - 1]
     xb, yb, wb = hom[j - 1]
     ux, uy = xb * wa - xa * wb, yb * wa - ya * wb  # wa·wb·(B - A)
     wa2, wb2 = wa * wa, wb * wb
-    keys: set[int] = set()
-    add = keys.add
     a_keys: list[tuple[int, int]] = []
     b_keys: list[tuple[int, int]] = []
     rows: list[tuple[int, int, int, int]] = []
-    on_segment: list[int] = []  # the keys of points strictly inside it
+    on_segment: list[tuple[int, int]] = []  # t of the points strictly inside it
+    reach_a = reach_b = 0  # the largest |dA|² and |dB|² of the rows
     for m, (x, y, w) in enumerate(hom, start=1):
         if m == i or m == j:
             continue
@@ -629,21 +650,26 @@ def _crossing_parameters(hom: Sequence[tuple[int, int, int]], i: int, j: int) ->
         if side == 0:  # on line AB, at t = wb·dot(u, dA) / (w·|u|²)
             num, den = wb * (ux * ax + uy * ay), w * (ux * ux + uy * uy)
             if 0 < num < den:
-                g = gcd(num, den)
-                on_segment.append(_key(num // g, den // g))
+                on_segment.append((num, den))
             continue
         if side < 0:
             ax, ay, bx, by, side = -ax, -ay, -bx, -by, -side
         a_keys.append((-ux * ax - uy * ay, side))
         b_keys.append((-ux * bx - uy * by, ux * by - uy * bx))
         rows.append((ax, ay, bx, by))
-    if rows:
-        keys.update(on_segment)
+        reach_a = max(reach_a, ax * ax + ay * ay)
+        reach_b = max(reach_b, bx * bx + by * by)
+    if not rows:
+        return ExclusionSet(set(), _key_bits(0))
+    bound = max([(wb2 * reach_a + wa2 * reach_b) // (wa * wb), *(den for _, den in on_segment)])
+    bits = _key_bits(bound)
+    keys = {(num << bits) // den for num, den in on_segment}
+    add = keys.add
     # points of one line through A come by descending B-key, so none
     # falls in the prefix of the next
     order = sorted(zip(_order_keys(a_keys), _order_keys(b_keys), rows), reverse=True)
     del a_keys, b_keys, rows  # freed before the key set grows
-    passed_b: list = []  # B-keys of the points passed, ascending
+    passed_b: list[int] = []  # B-keys of the points passed, ascending
     passed: list[tuple[int, int, int, int]] = []  # their directions
     for _, b_key, row in order:
         ax, ay, bx, by = row
@@ -651,25 +677,16 @@ def _crossing_parameters(hom: Sequence[tuple[int, int, int]], i: int, j: int) ->
         pos = bisect_left(passed_b, b_key)
         for rax, ray, rbx, rby in passed[:pos]:
             num = ax * ray - ay * rax
-            den = num + by * rbx - bx * rby
-            g = gcd(num, den)
-            den //= g
-            add(den * (den - 1) // 2 + num // g)
+            add((num << bits) // (num + by * rbx - bx * rby))
         passed_b.insert(pos, b_key)
         passed.insert(pos, row)
-    return ExclusionSet(keys)
+    return ExclusionSet(keys, bits)
 
 
-def _order_keys(values: list[tuple[int, int]]) -> list[int] | list[Fraction]:
-    """Exact order keys for the rationals num/den, den > 0: the floors of
-    their values times 2^64, or Fractions when two different values share
-    a floor.  Floor is monotone, so equal values get equal floors; the
-    floors keep the order exactly when there are as many of them as
-    distinct values."""
-    floors = [(num << 64) // den for num, den in values]
-    distinct = len(set(floors))
-    if distinct == len(values) or distinct == len(
-        {(num // g, den // g) for num, den in values for g in (gcd(num, den),)}
-    ):
-        return floors
-    return [Fraction(num, den) for num, den in values]
+def _order_keys(values: list[tuple[int, int]]) -> list[int]:
+    """Exact order keys for the rationals num/den, den > 0: their
+    `_key_bits` floors, with the width taken from the largest den.  Floor
+    is monotone, and distinct values get distinct floors, so the keys
+    keep the order exactly."""
+    bits = _key_bits(max((den for _, den in values), default=0))
+    return [(num << bits) // den for num, den in values]

@@ -36,7 +36,7 @@ from blbc.visibility import (
     ExclusionSet,
     LineIncidenceMap,
     PointSet,
-    _key,
+    _key_bits,
     blocking_parameters,
     is_visible,
 )
@@ -273,11 +273,13 @@ class UniterableExclusionSet(ExclusionSet):
 
 
 def exclusion_set(*fractions):
-    return ExclusionSet({_key(t.numerator, t.denominator) for t in fractions})
+    bits = _key_bits(max((t.denominator for t in fractions), default=0))
+    return ExclusionSet({(t.numerator << bits) // t.denominator for t in fractions}, bits)
 
 
 def test_choose_parameter_probes_without_copying():
-    excluded = UniterableExclusionSet({_key(1, 2), _key(1, 3)})
+    bits = _key_bits(3)
+    excluded = UniterableExclusionSet({(1 << bits) // 2, (1 << bits) // 3}, bits)
     assert choose_parameter(excluded) == F(2, 3)
 
 
@@ -575,6 +577,57 @@ def test_exclusion_set_holds_no_parameter_outside_the_open_interval(t):
     assert t not in excluded
 
 
+def farey_neighbours(t, order):
+    """The fractions next to t, below and above it, in the Farey
+    sequence of the given order."""
+    p, q = t.numerator, t.denominator
+    inverse = pow(p, -1, q)
+    # the largest denominators up to the order with p·c - q·a = 1 (the
+    # left neighbour a/c) and q·e - p·f = 1 (the right one, e/f)
+    below = inverse + (order - inverse) // q * q
+    above = q - inverse + (order - q + inverse) // q * q
+    return F((p * below - 1) // q, below), F((p * above + 1) // q, above)
+
+
+@st.composite
+def floor_keyed_sets(draw):
+    """Reduced t in (0, 1) with denominators below 2^b, and probes: for
+    each member its Farey neighbours, points closer to it than 2^-2b,
+    and its shifts outside (0, 1); fractions with denominators of 2^b or
+    more; and 0 and 1."""
+    b = draw(st.integers(1, 300))
+    top = 2**b - 1
+
+    def fraction(lo, hi):
+        den = draw(st.integers(lo, hi))
+        return F(draw(st.integers(1, den - 1)), den)
+
+    members = {fraction(2, top) for _ in range(draw(st.integers(0, 12 if b > 1 else 0)))}
+    probes = {F(0), F(1), F(-1, 2**b), F(2**b + 1, 2**b)}
+    for t in members:
+        probes.update(farey_neighbours(t, top))
+        probes.update((t - F(1, 2 ** (2 * b + 2)), t + F(1, 2 ** (2 * b + 2))))
+        probes.update((-t, t + 1, 2 - t, 1 / t))
+    far = [fraction(2**b, 2 ** (b + 2)) for _ in range(draw(st.integers(1, 8)))]
+    probes.update(t for t in far if t.denominator > top)
+    return b, members, probes
+
+
+@settings(max_examples=300, deadline=None)
+@given(floor_keyed_sets())
+def test_floor_keyed_exclusion_set_acts_as_its_fraction_set(case):
+    b, members, probes = case
+    bits = _key_bits(2**b - 1)
+    excluded = ExclusionSet({(t.numerator << bits) // t.denominator for t in members}, bits)
+    assert len(excluded) == len(members)
+    assert set(excluded) == members
+    assert sorted(excluded) == sorted(members)
+    assert excluded == members and members == excluded
+    assert all(t in excluded for t in members)
+    for t in probes - members:
+        assert t not in excluded
+
+
 def test_two_lines_crossing_at_one_parameter_count_once():
     # x = 2 and the line through (1, 1) and (3, -1) both cross the segment
     # from (0, 0) to (4, 0) at (2, 0); the other two crossing pairs give
@@ -670,6 +723,26 @@ def segment_cases(draw):
 def test_kernel_matches_reference_on_random_segments(case):
     points, i, j = case
     ps = PointSet(points)
+    assert blocking_parameters(ps, i, j) == reference_exclusions(ps.points, i, j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(segment_cases(), st.integers(0, 2**32 - 1))
+def test_kernel_matches_reference_on_wide_affine_images_of_random_segments(case, seed):
+    # an affine map keeps the three-point lines, the lines crossing at one
+    # point and the points on AB, and its 100-bit entries widen every
+    # coordinate past 128 bits
+    points, i, j = case
+    rng = random.Random(seed)
+
+    def wide():
+        return rng.choice((-1, 1)) * F(rng.getrandbits(100) | 2**99, rng.getrandbits(100) | 2**99)
+
+    o, m = (wide(), wide()), (wide(), wide(), wide(), wide())
+    assume(m[0] * m[3] != m[1] * m[2])
+    image = [(o[0] + m[0] * x + m[1] * y, o[1] + m[2] * x + m[3] * y) for x, y in points]
+    ps = PointSet(image)
+    assert max(max(map(abs, h)).bit_length() for h in ps.homogeneous()) > 256
     assert blocking_parameters(ps, i, j) == reference_exclusions(ps.points, i, j)
 
 
