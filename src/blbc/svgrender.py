@@ -12,7 +12,7 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 from .errors import InputError
-from .visibility import LineIncidenceMap, PointSet, build_visibility_graph
+from .visibility import LineIncidenceMap, PointSet
 
 EDGE_MODES = ("visibility", "collinear", "none")
 
@@ -32,11 +32,11 @@ def _segments(ps: PointSet, edges: str) -> tuple[tuple[int, int], ...]:
     """Index pairs of the segments to draw."""
     if edges == "none" or ps.n < 2:
         return ()
+    lines = LineIncidenceMap.from_point_set(ps)
     if edges == "visibility":
-        return build_visibility_graph(ps).edges
+        return tuple(sorted(lines.visible()))
     # collinear: one segment per line carrying >= 3 points, across its
     # extremes, in line order
-    lines = LineIncidenceMap.from_point_set(ps)
     along = sorted((lines.line(key), order) for key, order in lines.multi.items())
     return tuple((order[0], order[-1]) for _, order in along)
 

@@ -43,7 +43,7 @@ independent references are brute force: `is_visible` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
@@ -360,15 +360,13 @@ class _Engine:
         )
 
     def _triangle_pending(self) -> VerificationReport:
-        # visible edges: each two-point pair, and consecutive pairs along
-        # the longer lines; a two-point pair is pending in a valid run,
-        # so by default the candidates are the consecutive pairs alone
+        # a two-point pair is pending in a valid run, so by default the
+        # candidates are the visible pairs along the longer lines alone
         lines = self.grown()
         if self.pending is None:
             candidates = self.consecutive
         else:
-            candidates = _Triangles(e for e in chain(lines.two_point, lines.consecutive())
-                                    if e not in self.pending)
+            candidates = _Triangles(e for e in lines.visible() if e not in self.pending)
         violations = candidates.found
         return VerificationReport(
             "trianglepending",

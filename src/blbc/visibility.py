@@ -7,11 +7,11 @@ lines spanned by the set.  `LineIncidenceMap` finds that arrangement by
 grouping earlier points by exact direction from each new one, and is the
 package's only incidence structure: the construction grows one instance
 point by point for its pending pairs, while the verifier, the analyzer
-and the renderer each build their own, the visible pairs being the
-neighbours in the map's order along each line, kept as points are fed.
-The map keeps the sparse side of its pairs: ``covered``, the pairs on
-lines of three or more points; its ``two_point`` is a read-only view of
-every other pair, `TwoPointPairs`.
+and the renderer each build their own; the visible pairs are its
+``visible()``: the neighbours in the map's order along each line, kept
+as points are fed.  The map keeps the sparse side of its pairs:
+``covered``, the pairs on lines of three or more points; its
+``two_point`` is a read-only view of every other pair, `TwoPointPairs`.
 The exclusion kernel behind `blocking_parameters` reads no line
 structure: from the homogeneous coordinates, in integers only, it orders
 the other points by the lines joining them to the segment's endpoints,
@@ -297,9 +297,15 @@ class LineIncidenceMap:
             for u, v in zip(order, order[1:])
         ]
 
+    def visible(self) -> Iterator[tuple[int, int]]:
+        """Every visible pair (i < j) once: the two-point pairs, in (j, i)
+        order, then the neighbours along each line of three or more points."""
+        return chain(self.two_point, self.consecutive())
+
 
 class VisibilityGraph:
-    """Visible index pairs of a point set, held only as ascending ``edges``."""
+    """Visible index pairs of a point set, held only as ascending ``edges``:
+    the builders' return type; the analyzer and renderer read ``visible()``."""
 
     __slots__ = ("n", "edges")
 
@@ -312,18 +318,14 @@ class VisibilityGraph:
         for i, j in edges:
             _require_int(i, "vertex index")
             _require_int(j, "vertex index")
-            if not 1 <= i != j <= n:
+            if not (1 <= i <= n and 1 <= j <= n and i != j):
                 raise InputError(f"edge ({i}, {j}) needs distinct vertices in 1..{n}")
             normalized.add((i, j) if i < j else (j, i))
         self.edges = tuple(sorted(normalized))
 
     def adjacency(self) -> dict[int, set[int]]:
         """Fresh neighbour sets keyed by 1-based vertex, built from ``edges``."""
-        adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
+        return _adjacency(self.n, self.edges)
 
     @property
     def edge_count(self) -> int:
@@ -336,6 +338,15 @@ class VisibilityGraph:
 
     def __repr__(self) -> str:
         return f"VisibilityGraph(n={self.n}, edges={len(self.edges)})"
+
+
+def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
+    """Neighbour sets of vertices 1..n from pairs of them."""
+    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    for i, j in pairs:
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
 
 
 def is_visible(i: int, j: int, ps: PointSet) -> bool:
@@ -367,12 +378,6 @@ def build_visibility_graph_naive(ps: PointSet) -> VisibilityGraph:
     return VisibilityGraph(ps.n, edges)
 
 
-def _graph(lines: LineIncidenceMap) -> VisibilityGraph:
-    """A pair is visible exactly when it is consecutive along the (unique)
-    line through it."""
-    return VisibilityGraph(lines.n, chain(lines.two_point, lines.consecutive()))
-
-
 def _largest_line(lines: LineIncidenceMap) -> tuple[int, list[int]]:
     best = min(map(sorted, lines.multi.values()), key=lambda m: (-len(m), m), default=None)
     # with no line of three points every pair is two-point, (1, 2) least
@@ -380,14 +385,15 @@ def _largest_line(lines: LineIncidenceMap) -> tuple[int, list[int]]:
     return len(witness), witness
 
 
-def _largest_clique(graph: VisibilityGraph, cap: int | None) -> tuple[int, list[int]]:
-    witness = find_max_clique(range(1, graph.n + 1), graph.adjacency(), cap=cap)
+def _largest_clique(lines: LineIncidenceMap, cap: int | None) -> tuple[int, list[int]]:
+    witness = find_max_clique(range(1, lines.n + 1), _adjacency(lines.n, lines.visible()), cap=cap)
     return len(witness), witness
 
 
 def build_visibility_graph(ps: PointSet) -> VisibilityGraph:
     """Visibility graph via the lines of ps."""
-    return _graph(LineIncidenceMap.from_point_set(ps))
+    lines = LineIncidenceMap.from_point_set(ps)
+    return VisibilityGraph(lines.n, lines.visible())
 
 
 def max_collinear(ps: PointSet) -> tuple[int, list[int]]:
@@ -406,7 +412,7 @@ def max_visible_clique(ps: PointSet, cap: int | None = None) -> tuple[int, list[
     """
     if ps.n < 1:
         raise InputError("max_visible_clique needs a non-empty point set")
-    return _largest_clique(build_visibility_graph(ps), cap)
+    return _largest_clique(LineIncidenceMap.from_point_set(ps), cap)
 
 
 class BlbcOutcome(enum.Enum):
@@ -460,7 +466,7 @@ def check_blbc_instance(ps: PointSet, k: int, l: int) -> BlbcVerdict:
         raise InputError("check_blbc_instance needs a non-empty point set")
     lines = LineIncidenceMap.from_point_set(ps)
     col_size, col_wit = _largest_line(lines) if ps.n >= 2 else (1, [1])
-    cl_size, cl_wit = _largest_clique(_graph(lines), cap=k)
+    cl_size, cl_wit = _largest_clique(lines, cap=k)
 
     big_line = col_size >= l
     big_clique = cl_size >= k

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from blbc.construction import DEFAULT_SEED, generate
 from blbc.errors import DuplicatePointError, ImpossibleStateError, InputError
 from blbc.geometry import Point, line_through, on_open_segment
+from blbc.svgrender import render_svg
 from blbc.visibility import (
     BlbcOutcome,
     LineIncidenceMap,
@@ -203,6 +204,14 @@ def test_two_point_view_agrees_with_brute_force(points, tamper):
         assert (other == expected) == (plain == expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(collinear_rich_points())
+def test_visible_pairs_are_the_naive_edges(points):
+    # compared as lists: a pair yielded twice, or as (j, i), fails here
+    lmap = LineIncidenceMap.from_point_set(points)
+    assert sorted(lmap.visible()) == list(build_visibility_graph_naive(PointSet(points)).edges)
+
+
 def test_two_point_view_is_read_only_and_live():
     lmap = LineIncidenceMap(PointSet([(0, 0), (1, 0), (2, 0), (0, 1)]).homogeneous())
     view = lmap.two_point
@@ -356,7 +365,7 @@ def test_visibility_graph_interface():
     assert graph.adjacency()[1] == {2}
 
 
-@pytest.mark.parametrize("edge", [(1, 5), (0, 1), (2, 2), (1.0, 2)])
+@pytest.mark.parametrize("edge", [(1, 5), (0, 1), (2, 2), (1.0, 2), (1, 0), (4, 2)])
 def test_visibility_graph_refuses_bad_edges(edge):
     with pytest.raises(InputError):
         VisibilityGraph(3, [edge])
@@ -426,6 +435,25 @@ def test_check_blbc_instance_makes_one_line_pass(monkeypatch):
         assert (verdict.collinear_size, verdict.clique_size) == (collinear[0], clique[0])
         assert verdict.clique_witness == clique[1]
     assert expected[1][0] == (3, [1, 2, 3])
+
+
+def test_analysis_and_render_build_no_visibility_graph(monkeypatch):
+    # the readers take the visible pairs from the map; a VisibilityGraph
+    # is only what the graph builders return
+    sets = [generate(DEFAULT_SEED, 40).point_set(),
+            PointSet([(x, y) for y in range(6) for x in range(6)])]
+
+    def outputs(ps):
+        return (check_blbc_instance(ps, 5, 4), max_visible_clique(ps),
+                max_visible_clique(ps, cap=3), render_svg(ps, "visibility"))
+
+    expected = [outputs(ps) for ps in sets]
+
+    def refuse(self, n, edges):
+        raise AssertionError("a VisibilityGraph was built")
+
+    monkeypatch.setattr(VisibilityGraph, "__init__", refuse)
+    assert [outputs(ps) for ps in sets] == expected
 
 
 def test_max_visible_clique_grid():
