@@ -29,7 +29,7 @@ from .fileformat import (
     serialize_verdict,
 )
 from .rational import format_rational
-from .svgrender import EDGE_MODES, render_svg
+from .svgrender import EDGE_MODES, _document
 from .verifier import CHECKS, verify_points
 from .visibility import PointSet, check_blbc_instance
 
@@ -127,7 +127,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     ps = PointSet(parse_point_file(_read(args.points)).points)
-    Path(args.out).write_text(render_svg(ps, args.edges), encoding="utf-8")
+    lines = _document(ps, args.edges)
+    head = next(lines)  # the input is checked before --out is opened
+    with open(args.out, "w", encoding="utf-8") as out:
+        out.write(head)
+        out.writelines(lines)
     return 0
 
 

@@ -31,6 +31,14 @@ def _colours(cand: int, nbr: list[int], limit: int) -> int:
     return count
 
 
+def _require_cap(cap: int | None) -> None:
+    """Refuse a clique size cap that is neither None nor an int >= 1."""
+    if cap is not None:
+        _require_int(cap, "clique size cap")
+        if cap < 1:
+            raise InputError(f"clique size cap must be >= 1, got {cap}")
+
+
 def find_max_clique(
     vertices: Iterable[int],
     adjacency: Mapping[int, Iterable[int]],
@@ -54,10 +62,7 @@ def find_max_clique(
     root, so a deep clique needs no recursion.  With ``cap`` set, the
     search stops at the first clique of that size and returns it.
     """
-    if cap is not None:
-        _require_int(cap, "clique size cap")
-        if cap < 1:
-            raise InputError(f"clique size cap must be >= 1, got {cap}")
+    _require_cap(cap)
     adj = {v: frozenset(adjacency.get(v, ())) for v in vertices}
     if any(v in nbrs for v, nbrs in adj.items()):
         raise InputError("adjacency contains a self-loop")

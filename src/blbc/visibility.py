@@ -7,11 +7,16 @@ lines spanned by the set.  `LineIncidenceMap` finds that arrangement by
 grouping earlier points by exact direction from each new one, and is the
 package's only incidence structure: the construction grows one instance
 point by point for its pending pairs, while the verifier, the analyzer
-and the renderer each build their own; the visible pairs are its
-``visible()``: the neighbours in the map's order along each line, kept
-as points are fed.  The map keeps the sparse side of its pairs:
-``covered``, the pairs on lines of three or more points; its
+and the renderer each build their own.  The map keeps the sparse side
+of its pairs: ``covered``, the pairs on lines of three or more points,
+each line's members kept in order along it as points are fed; its
 ``two_point`` is a read-only view of every other pair, `TwoPointPairs`.
+Its ``blocked()`` is the one place that says which pairs are not
+visible: the covered pairs that are not neighbours along their line, n - 3
+of them in a construction run.  ``visible()`` yields every other pair
+lazily, in ascending order, so the renderer never holds the visible
+pairs all at once; the analyzer's clique search takes the vertices in no
+blocked pair without searching them.
 The exclusion kernel behind `blocking_parameters` reads no line
 structure: from the homogeneous coordinates, in integers only, it orders
 the other points by the lines joining them to the segment's endpoints,
@@ -31,11 +36,10 @@ from bisect import bisect_left, insort
 from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import comb, gcd
 from typing import Iterable, Iterator, Sequence
 
-from .clique import find_max_clique
+from .clique import _require_cap, find_max_clique
 from .errors import DuplicatePointError, ImpossibleStateError, InputError, _require_int
 from .geometry import (
     CanonicalLine,
@@ -297,15 +301,28 @@ class LineIncidenceMap:
             for u, v in zip(order, order[1:])
         ]
 
+    def blocked(self) -> set[tuple[int, int]]:
+        """Pairs (i < j) with a point strictly between them: the covered
+        pairs that are not neighbours along their line.  A construction run
+        of n points has n - 3."""
+        return self.covered.difference(self.consecutive())
+
     def visible(self) -> Iterator[tuple[int, int]]:
-        """Every visible pair (i < j) once: the two-point pairs, in (j, i)
-        order, then the neighbours along each line of three or more points."""
-        return chain(self.two_point, self.consecutive())
+        """Every visible pair (i < j) once, lazily, in ascending (i, j)
+        order: each pair that is not covered, or is consecutive on its line,
+        so not blocked.  Only the blocked pairs are held while it runs."""
+        blocked = self.blocked()
+        n = self.n
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                if (i, j) not in blocked:
+                    yield i, j
 
 
 class VisibilityGraph:
     """Visible index pairs of a point set, held only as ascending ``edges``:
-    the builders' return type; the analyzer and renderer read ``visible()``."""
+    the builders' return type.  The analyzer reads the map's ``blocked()``
+    and the renderer its ``visible()`` instead."""
 
     __slots__ = ("n", "edges")
 
@@ -325,7 +342,11 @@ class VisibilityGraph:
 
     def adjacency(self) -> dict[int, set[int]]:
         """Fresh neighbour sets keyed by 1-based vertex, built from ``edges``."""
-        return _adjacency(self.n, self.edges)
+        adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
+        for i, j in self.edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        return adj
 
     @property
     def edge_count(self) -> int:
@@ -338,15 +359,6 @@ class VisibilityGraph:
 
     def __repr__(self) -> str:
         return f"VisibilityGraph(n={self.n}, edges={len(self.edges)})"
-
-
-def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
-    """Neighbour sets of vertices 1..n from pairs of them."""
-    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for i, j in pairs:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
 
 
 def is_visible(i: int, j: int, ps: PointSet) -> bool:
@@ -385,8 +397,35 @@ def _largest_line(lines: LineIncidenceMap) -> tuple[int, list[int]]:
     return len(witness), witness
 
 
-def _largest_clique(lines: LineIncidenceMap, cap: int | None) -> tuple[int, list[int]]:
-    witness = find_max_clique(range(1, lines.n + 1), _adjacency(lines.n, lines.visible()), cap=cap)
+def _largest_clique(
+    n: int, blocked: Iterable[tuple[int, int]], cap: int | None
+) -> tuple[int, list[int]]:
+    """Size and witness of `find_max_clique` on the graph over 1..n whose
+    non-edges are ``blocked``, searching only the vertices in a blocked pair.
+
+    A vertex with no blocked partner is universal: it is in every maximal
+    clique.  The whole-graph walk ranks the universal vertices first, with
+    degree n - 1 and ties by id.  Each is the first pivot while it is in
+    ``cand`` and is that pivot's only branch, so the walk takes all of them, U,
+    in id order, before anything else; with ``cap`` at most |U| it stops
+    at the first ``cap`` of them.  After them it walks the graph induced by
+    the rest R, where every degree is |U| less, so the ranks, pivots,
+    colour classes and prunes are those of the search on R alone.  So the
+    witness is the universal vertices plus the witness on R, capped at
+    ``cap`` - |U|, with the neighbour sets held for R only.
+    """
+    _require_cap(cap)
+    partners: dict[int, set[int]] = {}
+    for i, j in blocked:
+        partners.setdefault(i, set()).add(j)
+        partners.setdefault(j, set()).add(i)
+    universal = [v for v in range(1, n + 1) if v not in partners]
+    if cap is not None and cap <= len(universal):
+        return cap, universal[:cap]
+    rest = set(partners)
+    adjacency = {v: rest - near - {v} for v, near in partners.items()}
+    found = find_max_clique(rest, adjacency, None if cap is None else cap - len(universal))
+    witness = sorted(universal + found)
     return len(witness), witness
 
 
@@ -412,7 +451,8 @@ def max_visible_clique(ps: PointSet, cap: int | None = None) -> tuple[int, list[
     """
     if ps.n < 1:
         raise InputError("max_visible_clique needs a non-empty point set")
-    return _largest_clique(LineIncidenceMap.from_point_set(ps), cap)
+    lines = LineIncidenceMap.from_point_set(ps)
+    return _largest_clique(lines.n, lines.blocked(), cap)
 
 
 class BlbcOutcome(enum.Enum):
@@ -466,7 +506,7 @@ def check_blbc_instance(ps: PointSet, k: int, l: int) -> BlbcVerdict:
         raise InputError("check_blbc_instance needs a non-empty point set")
     lines = LineIncidenceMap.from_point_set(ps)
     col_size, col_wit = _largest_line(lines) if ps.n >= 2 else (1, [1])
-    cl_size, cl_wit = _largest_clique(lines, cap=k)
+    cl_size, cl_wit = _largest_clique(lines.n, lines.blocked(), cap=k)
 
     big_line = col_size >= l
     big_clique = cl_size >= k

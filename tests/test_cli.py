@@ -2,13 +2,16 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from blbc.cli import main
 from blbc.construction import DEFAULT_SEED, generate
 from blbc.fileformat import PointFile, serialize_point_file
+from blbc.svgrender import EDGE_MODES, render_svg
 from blbc.verifier import CHECKS
+from blbc.visibility import PointSet
 from test_construction import WIDE_SEED
 
 POINTS_6_GOLDEN = (
@@ -439,6 +442,72 @@ def test_render_rejects_unknown_edge_mode(tmp_path, capsys):
     assert main(["render", "--points", str(points), "--out", str(out),
                  "--edges", "wires"]) == 2
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def run300(tmp_path_factory):
+    ps = generate(DEFAULT_SEED, 300).point_set()
+    return write_points(tmp_path_factory.mktemp("run300") / "p300.json", ps.points), ps
+
+
+@pytest.mark.parametrize("edges", EDGE_MODES)
+def test_render_streams_the_bytes_of_render_svg(tmp_path, run300, edges):
+    # the file is written line by line as the lines are made; render_svg
+    # joins the same lines
+    sets = [PointSet([(0, 0)]), PointSet([(0, 0), (1, 0)])]
+    files = [(write_points(tmp_path / f"p{ps.n}.json", ps.points), ps) for ps in sets]
+    out = tmp_path / "out.svg"
+    for path, ps in [*files, run300]:
+        assert main(["render", "--points", path, "--out", str(out), "--edges", edges]) == 0
+        assert out.read_bytes() == render_svg(ps, edges).encode()
+
+
+@pytest.mark.parametrize(
+    "points, edges, segments",
+    [
+        ([(0, 0)], "visibility", 0),
+        ([(0, 0), (1, 0)], "collinear", 0),
+        ([(0, 0), (1, 0), (0, 1)], "collinear", 0),
+        ([(0, 0), (1, 0), (0, 1)], "none", 0),
+        ([(0, 0), (1, 0)], "visibility", 1),
+        ([(0, 0), (1, 0), (2, 0)], "collinear", 1),
+    ],
+)
+def test_render_writes_the_edge_group_only_around_segments(tmp_path, points, edges, segments):
+    path = write_points(tmp_path / "p.json", points)
+    out = tmp_path / "out.svg"
+    assert main(["render", "--points", path, "--out", str(out), "--edges", edges]) == 0
+    svg = out.read_text()
+    assert svg.count("<line") == segments
+    assert svg.count('<g class="edges"') == min(segments, 1)
+
+
+@pytest.mark.parametrize("edges", EDGE_MODES)
+def test_render_refusal_leaves_the_output_untouched(tmp_path, capsys, edges):
+    # the input is checked before --out is opened, so a refused render
+    # neither empties nor rewrites an existing file
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"format_version": 1, "points": []}')
+    out = tmp_path / "out.svg"
+    out.write_bytes(b"<svg>kept</svg>\n")
+    assert main(["render", "--points", str(empty), "--out", str(out), "--edges", edges]) == 2
+    assert "nothing to render" in capsys.readouterr().err
+    assert out.read_bytes() == b"<svg>kept</svg>\n"
+
+
+def test_render_holds_the_visible_pairs_one_at_a_time(tmp_path, run300):
+    # 44,553 segments; sorting them, or joining the text before writing it,
+    # peaks over 13 MiB
+    out = tmp_path / "out.svg"
+    tracemalloc.start()
+    try:
+        assert main(["render", "--points", run300[0], "--out", str(out),
+                     "--edges", "visibility"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.read_text().count("<line") == 44553
+    assert peak < 2 * 2**20
 
 
 # usage

@@ -4,11 +4,13 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from blbc import visibility
+from blbc.clique import find_max_clique
 from blbc.construction import DEFAULT_SEED, generate
 from blbc.errors import DuplicatePointError, ImpossibleStateError, InputError
-from blbc.geometry import Point, line_through, on_open_segment
+from blbc.geometry import Orientation, Point, line_through, on_open_segment, orientation
 from blbc.svgrender import render_svg
 from blbc.visibility import (
     BlbcOutcome,
@@ -17,6 +19,7 @@ from blbc.visibility import (
     TwoPointPairs,
     VisibilityGraph,
     _assert_pairwise_visible,
+    _largest_clique,
     blocking_parameters,
     build_visibility_graph,
     build_visibility_graph_naive,
@@ -207,9 +210,10 @@ def test_two_point_view_agrees_with_brute_force(points, tamper):
 @settings(max_examples=60, deadline=None)
 @given(collinear_rich_points())
 def test_visible_pairs_are_the_naive_edges(points):
-    # compared as lists: a pair yielded twice, or as (j, i), fails here
+    # compared as lists: a pair yielded twice, as (j, i), or out of
+    # ascending (i, j) order fails here
     lmap = LineIncidenceMap.from_point_set(points)
-    assert sorted(lmap.visible()) == list(build_visibility_graph_naive(PointSet(points)).edges)
+    assert list(lmap.visible()) == list(build_visibility_graph_naive(PointSet(points)).edges)
 
 
 def test_two_point_view_is_read_only_and_live():
@@ -454,6 +458,70 @@ def test_analysis_and_render_build_no_visibility_graph(monkeypatch):
 
     monkeypatch.setattr(VisibilityGraph, "__init__", refuse)
     assert [outputs(ps) for ps in sets] == expected
+
+
+@st.composite
+def construction_prefixes(draw):
+    """A short run from a random seed of small rationals: the points that
+    the selection cursor has passed see every point."""
+    small = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    seed = draw(st.lists(st.tuples(small, small), min_size=3, max_size=3, unique=True))
+    assume(orientation(*(Point(*p) for p in seed)) is not Orientation.COLLINEAR)
+    return list(generate(seed, draw(st.integers(3, 22))).points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(construction_prefixes() | collinear_rich_points(), st.data())
+def test_peeled_clique_is_the_whole_graph_search(points, data):
+    # the universal vertices are taken without a search; the witness is
+    # still the one the search on the whole naive graph returns
+    ps = PointSet(points)
+    cap = data.draw(st.none() | st.integers(1, ps.n + 1))
+    witness = find_max_clique(range(1, ps.n + 1), build_visibility_graph_naive(ps).adjacency(), cap)
+    assert max_visible_clique(ps, cap) == (len(witness), witness)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 14), st.integers(0, 10), st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+       st.integers(0, 2**32), st.data())
+def test_peel_on_random_graphs_with_universal_vertices(core, extra, density, seed, data):
+    # ``extra`` vertices, spread among the ids, are in no blocked pair
+    rng = random.Random(seed)
+    n = core + extra
+    ids = rng.sample(range(1, n + 1), n)
+    blocked = [e for e in combinations(sorted(ids[:core]), 2) if rng.random() < density]
+    adjacency = {v: set(range(1, n + 1)) - {v} for v in range(1, n + 1)}
+    for i, j in blocked:
+        adjacency[i].discard(j)
+        adjacency[j].discard(i)
+    cap = data.draw(st.none() | st.integers(1, n + 1))
+    witness = find_max_clique(range(1, n + 1), adjacency, cap)
+    assert _largest_clique(n, blocked, cap) == (len(witness), witness)
+
+
+def test_check_blbc_instance_searches_only_the_non_universal_vertices(monkeypatch):
+    ps = generate(DEFAULT_SEED, 300).point_set()
+    expected = check_blbc_instance(ps, 301, 301)
+    degree = {v: len(near) for v, near in build_visibility_graph(ps).adjacency().items()}
+    searched = []
+
+    def recording(vertices, adjacency, cap=None):
+        searched.append(sorted(vertices))
+        return find_max_clique(vertices, adjacency, cap)
+
+    monkeypatch.setattr(visibility, "find_max_clique", recording)
+    assert check_blbc_instance(ps, 301, 301) == expected
+    assert searched == [[v for v in range(1, 301) if degree[v] < 299]]
+    # the blocked pairs lie among the points before the selection cursor
+    assert len(searched[0]) == 27
+
+
+@pytest.mark.parametrize("cap", [0, -1, 2.0, True, "2"])
+def test_peel_checks_the_cap_before_taking_universal_vertices(cap):
+    # all four corners of a square are universal, so a cap up to 4 needs
+    # no search; it is refused all the same
+    with pytest.raises(InputError, match="clique size cap"):
+        max_visible_clique(PointSet([(0, 0), (1, 0), (0, 1), (1, 1)]), cap)
 
 
 def test_max_visible_clique_grid():
