@@ -1,10 +1,14 @@
 """Deterministic maximum-clique search (branch and bound with pivoting).
 
-Each node is bounded by a greedy colouring of its candidates (Tomita &
-Seki's MCQ, on bitsets as in San Segundo et al.'s BBMC): a clique takes
-at most one vertex of each colour class.  The bound prunes only subtrees
-that cannot beat the incumbent or reach the cap, so it changes which
-nodes are visited but never which clique is returned.
+Each node is bounded twice: by a greedy colouring of its candidates
+(Tomita & Seki's MCQ, on bitsets as in San Segundo et al.'s BBMC), and
+by the classes of one DSATUR colouring of the whole graph (Brélaz 1979),
+made once at the root, that its candidates hit.  A clique takes at most
+one vertex of each colour class of either colouring.  On a lattice the
+greedy classes of inner nodes are often many more than the root's four
+DSATUR classes, which is where the second bound prunes.  Both bounds
+prune only subtrees that cannot beat the incumbent or reach the cap, so
+they change which nodes are visited but never which clique is returned.
 """
 
 from __future__ import annotations
@@ -31,6 +35,56 @@ def _colours(cand: int, nbr: list[int], limit: int) -> int:
     return count
 
 
+def _dsatur(nbr: list[int]) -> list[int]:
+    """Colour classes of every bit, as bitsets, by DSATUR (Brélaz 1979).
+
+    Each step colours the uncoloured bit with the most distinct colours
+    among its neighbours, ties to the lowest bit, with the least colour none
+    of its neighbours has.  ``level`` holds the uncoloured bits by that
+    count; ``near[c]`` holds every bit listed by a bit of class c.  A bit
+    joins a class only when neither lists the other, so each class is an
+    independent set even of an asymmetric ``nbr``.
+    """
+    classes: list[int] = []
+    near: list[int] = []
+    level = {0: (1 << len(nbr)) - 1} if nbr else {}
+    while level:
+        top = max(level)
+        low = level[top] & -level[top]
+        level[top] ^= low
+        if not level[top]:
+            del level[top]
+        adjacent = nbr[low.bit_length() - 1]
+        c = len(classes)
+        if top < c:  # a class it does not see, and none of whose bits it lists
+            c = next((c for c, seen in enumerate(near)
+                      if not seen & low and not classes[c] & adjacent), c)
+        if c == len(classes):
+            classes.append(0)
+            near.append(0)
+        classes[c] |= low
+        fresh = adjacent & ~near[c]  # bits that now see colour c for the first time
+        near[c] |= adjacent
+        for count in sorted((k for k, bits in level.items() if bits & fresh), reverse=True):
+            moved = level[count] & fresh
+            level[count] ^= moved
+            if not level[count]:
+                del level[count]
+            level[count + 1] = level.get(count + 1, 0) | moved
+    return classes
+
+
+def _classes_hit(cand: int, classes: list[int], limit: int) -> int:
+    """How many of ``classes`` meet the bitset ``cand``, counted up to ``limit + 1``."""
+    count = 0
+    for members in classes:
+        if members & cand:
+            count += 1
+            if count > limit:
+                break
+    return count
+
+
 def _require_cap(cap: int | None) -> None:
     """Refuse a clique size cap that is neither None nor an int >= 1."""
     if cap is not None:
@@ -51,16 +105,20 @@ def find_max_clique(
     listed neighbours) then ascending id; neighbours outside ``vertices``
     get no bit.  The pivot is the first vertex of ``cand | excl`` with the
     most neighbours in ``cand``; the branches are its non-neighbours in
-    ``cand``, in ascending bit order.  A node is pruned when its clique
-    plus the number of greedy colour classes of ``cand`` cannot beat the
-    incumbent.  The classes bound every clique inside ``cand``, so a pruned
-    subtree holds no clique larger than the incumbent, and none of size
-    ``cap``, which is always larger than the incumbent: the first improving
-    clique, and so every witness, is the one the plain bound
-    ``len(clique) + |cand|`` would find.  The walk keeps an explicit stack
-    of ``[cand, excl, branch]`` frames, one per clique vertex plus the
-    root, so a deep clique needs no recursion.  With ``cap`` set, the
-    search stops at the first clique of that size and returns it.
+    ``cand``, in ascending bit order.  The whole graph is coloured once, at
+    the root, by `_dsatur`.  A node is expanded only when its clique plus
+    the number of greedy colour classes of ``cand`` beats the incumbent,
+    and so does its clique plus the number of root classes that ``cand``
+    hits; the root classes are counted only when the greedy count does not
+    prune.  Either count bounds every clique inside ``cand``, as a clique
+    takes at most one vertex of each class.  So a pruned subtree holds no
+    clique larger than the incumbent, and none of size ``cap``, which is
+    always larger than the incumbent: the first improving clique, and so
+    every witness, is the one the plain bound ``len(clique) + |cand|``
+    would find.  The walk keeps an explicit stack of ``[cand, excl,
+    branch]`` frames, one per clique vertex plus the root, so a deep
+    clique needs no recursion.  With ``cap`` set, the search stops at the
+    first clique of that size and returns it.
     """
     _require_cap(cap)
     adj = {v: frozenset(adjacency.get(v, ())) for v in vertices}
@@ -72,12 +130,16 @@ def find_max_clique(
     best: list[int] = []
     clique: list[int] = []
     stack: list[list[int]] = []
+    classes = _dsatur(nbr)
     cand, excl = (1 << len(order)) - 1, 0
     while True:
         if not cand and not excl:
             if len(clique) > len(best):
                 best = sorted(clique)
-        elif len(clique) + _colours(cand, nbr, len(best) - len(clique)) > len(best):
+        elif (
+            len(clique) + _colours(cand, nbr, len(best) - len(clique)) > len(best)
+            and len(clique) + _classes_hit(cand, classes, len(best) - len(clique)) > len(best)
+        ):
             pivot, cover, rest = 0, -1, cand | excl
             while rest:
                 r = (rest & -rest).bit_length() - 1

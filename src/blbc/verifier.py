@@ -134,13 +134,20 @@ class _Triangles:
 
 def _record_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
     """Counterexample unless point rec.n is collinear with exactly its
-    recorded pair of earlier points, strictly between the two; else None."""
-    through = engine.advance(rec.n).through
+    recorded pair of earlier points, strictly between the two; else None.
+
+    When the only earlier points on a line with rec.n are i and j, the map
+    has just made their line, keyed (i, j), with its three points in order
+    along it; rec.n is strictly between the two exactly when it is the
+    middle one.  So a passing record costs no arithmetic beyond the map's,
+    and the exact segment test runs only to write a counterexample."""
+    lines = engine.advance(rec.n)
+    through = lines.through
     i, j = rec.pair
+    if through == [[i, j]] and lines.multi[(i, j)][1] == rec.n:
+        return None
     points = engine.points
     between = on_open_segment(points[rec.n - 1], points[i - 1], points[j - 1])
-    if through == [[i, j]] and between:
-        return None
     return {
         "n": rec.n,
         "expected_pair": [i, j],

@@ -14,9 +14,10 @@ each line's members kept in order along it as points are fed; its
 Its ``blocked()`` is the one place that says which pairs are not
 visible: the covered pairs that are not neighbours along their line, n - 3
 of them in a construction run.  ``visible()`` yields every other pair
-lazily, in ascending order, so the renderer never holds the visible
-pairs all at once; the analyzer's clique search takes the vertices in no
-blocked pair without searching them.
+lazily, in ascending order, flattened from rows of each point's partners
+above it; the renderer reads those rows one at a time, so it never holds
+the visible pairs all at once.  The analyzer's clique search takes the
+vertices in no blocked pair without searching them.
 The exclusion kernel behind `blocking_parameters` reads no line
 structure: from the homogeneous coordinates, in integers only, it orders
 the other points by the lines joining them to the segment's endpoints,
@@ -307,16 +308,28 @@ class LineIncidenceMap:
         of n points has n - 3."""
         return self.covered.difference(self.consecutive())
 
+    def _rows(self) -> Iterator[tuple[int, Sequence[int]]]:
+        """Each i in ascending order with its visible partners above it,
+        ascending: every j > i that is not in a blocked pair with i.  An i
+        with no such j is skipped.  Only the blocked pairs and one row are
+        held while it runs."""
+        above: dict[int, set[int]] = {}
+        for i, j in self.blocked():
+            above.setdefault(i, set()).add(j)
+        n = self.n
+        for i in range(1, n):
+            skip = above.get(i)
+            row = range(i + 1, n + 1) if skip is None else [
+                j for j in range(i + 1, n + 1) if j not in skip]
+            if row:
+                yield i, row
+
     def visible(self) -> Iterator[tuple[int, int]]:
         """Every visible pair (i < j) once, lazily, in ascending (i, j)
         order: each pair that is not covered, or is consecutive on its line,
-        so not blocked.  Only the blocked pairs are held while it runs."""
-        blocked = self.blocked()
-        n = self.n
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                if (i, j) not in blocked:
-                    yield i, j
+        so not blocked.  The pairs are `_rows` flattened, so only the blocked
+        pairs and one row are held while it runs."""
+        return ((i, j) for i, row in self._rows() for j in row)
 
 
 class VisibilityGraph:

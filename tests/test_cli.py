@@ -450,16 +450,24 @@ def run300(tmp_path_factory):
     return write_points(tmp_path_factory.mktemp("run300") / "p300.json", ps.points), ps
 
 
+LATTICE6_VISIBILITY_SVG = "81993c4310ca038f96267b4b97f46ba5d6e7b479798dc6d02e4d42082dd0ea58"
+
+
 @pytest.mark.parametrize("edges", EDGE_MODES)
 def test_render_streams_the_bytes_of_render_svg(tmp_path, run300, edges):
-    # the file is written line by line as the lines are made; render_svg
-    # joins the same lines
-    sets = [PointSet([(0, 0)]), PointSet([(0, 0), (1, 0)])]
+    # the file is written piece by piece as the pieces are made; render_svg
+    # joins the same pieces.  The 6x6 lattice has rows whose partners skip
+    # the blocked points, so its visibility SVG is pinned as well.
+    lattice = PointSet([(x, y) for y in range(6) for x in range(6)])
+    sets = [PointSet([(0, 0)]), PointSet([(0, 0), (1, 0)]), lattice]
     files = [(write_points(tmp_path / f"p{ps.n}.json", ps.points), ps) for ps in sets]
     out = tmp_path / "out.svg"
     for path, ps in [*files, run300]:
         assert main(["render", "--points", path, "--out", str(out), "--edges", edges]) == 0
         assert out.read_bytes() == render_svg(ps, edges).encode()
+    if edges == "visibility":
+        svg = render_svg(lattice, edges).encode()
+        assert hashlib.sha256(svg).hexdigest() == LATTICE6_VISIBILITY_SVG
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -6,10 +7,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blbc.clique import find_max_clique
+from blbc import clique
+from blbc.clique import _dsatur, find_max_clique
 from blbc.construction import DEFAULT_SEED, generate
 from blbc.errors import InputError
-from blbc.visibility import PointSet, build_visibility_graph
+from blbc.visibility import PointSet, build_visibility_graph, check_blbc_instance
 
 
 def adjacency_from_edges(vertices, edges):
@@ -76,6 +78,49 @@ def sparse_graphs(draw):
     if ids and draw(st.booleans()):
         adj[ids[0]].add(10**6 + 1)  # a listed neighbour that gets no bit
     return ids, adj
+
+
+@st.composite
+def partite_graphs(draw):
+    """Random k-partite graphs on sparse ids: no edge inside a part, so a
+    colouring of the whole graph has few classes, and its bound prunes."""
+    ids = draw(st.lists(st.integers(1, 10**6), unique=True, max_size=30))
+    parts = draw(st.integers(2, 6))
+    density = draw(st.sampled_from([0.5, 0.8, 0.95]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    part = {v: rng.randrange(parts) for v in ids}
+    edges = [(a, b) for a, b in combinations(ids, 2)
+             if part[a] != part[b] and rng.random() < density]
+    return ids, adjacency_from_edges(ids, edges)
+
+
+def lattice_points(side):
+    return PointSet([(x, y) for y in range(side) for x in range(side)])
+
+
+@functools.cache
+def lattice_graph(side):
+    """The s×s lattice's visibility graph with its incumbent-only witness."""
+    graph = build_visibility_graph(lattice_points(side))
+    ids, adj = list(range(1, graph.n + 1)), graph.adjacency()
+    return ids, adj, incumbent_only_max_clique(ids, adj)
+
+
+@st.composite
+def graphs_with_witness(draw):
+    """(ids, adjacency, uncapped incumbent-only witness): sparse random
+    graphs, random k-partite graphs, or the s×s lattice for s = 2..12."""
+    kind = draw(st.sampled_from(["sparse", "partite", "lattice"]))
+    if kind == "lattice":
+        return lattice_graph(draw(st.integers(2, 12)))
+    ids, adj = draw(sparse_graphs() if kind == "sparse" else partite_graphs())
+    return ids, adj, incumbent_only_max_clique(ids, adj)
+
+
+def bitsets(ids, adj):
+    """Neighbour bitsets, bit r for ids[r]; neighbours outside ids get none."""
+    bit = {v: 1 << r for r, v in enumerate(ids)}
+    return [sum(bit[w] for w in adj[v] if w in bit) for v in ids]
 
 
 def test_empty_graph():
@@ -188,12 +233,60 @@ def test_bad_cap_rejected():
 
 
 @settings(max_examples=300, deadline=None)
-@given(sparse_graphs(), st.sampled_from([None, 1, 2, 3, 4, 5, 6, 7]))
-def test_colour_bound_returns_the_incumbent_only_witness(graph, cap):
-    # The colour bound prunes only subtrees that cannot beat the incumbent
-    # or reach the cap, so the witness is the plain bound's, not just its size.
+@given(graphs_with_witness(), st.data())
+def test_colour_bound_returns_the_incumbent_only_witness(graph, data):
+    # The greedy and the root colour bounds prune only subtrees that cannot
+    # beat the incumbent or reach the cap, so the witness is the plain
+    # bound's, not just its size.  A walk that never reaches its cap is the
+    # uncapped walk, so caps above the maximum share its witness.
+    ids, adj, uncapped = graph
+    cap = data.draw(st.none() | st.integers(1, len(ids) + 1), label="cap")
+    if cap is None or cap > len(uncapped):
+        want = uncapped
+    else:
+        want = incumbent_only_max_clique(ids, adj, cap)
+    assert find_max_clique(ids, adj, cap=cap) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sparse_graphs(), partite_graphs()), st.data())
+def test_dsatur_classes_are_independent_and_cover_each_vertex_once(graph, data):
     ids, adj = graph
-    assert find_max_clique(ids, adj, cap=cap) == incumbent_only_max_clique(ids, adj, cap)
+    if data.draw(st.booleans(), label="one-way"):
+        # drop one direction of some edges: neither end of a class may list the other
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="rng"))
+        adj = {v: {w for w in near if v < w or rng.random() < 0.5} for v, near in adj.items()}
+    nbr = bitsets(ids, adj)
+    classes = _dsatur(nbr)
+    assert all(classes)
+    assert sum(c.bit_count() for c in classes) == len(ids)
+    union = 0
+    for members in classes:
+        union |= members
+        rest = members
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            assert not nbr[low.bit_length() - 1] & members
+    assert union == (1 << len(ids)) - 1
+
+
+def test_lattice_search_effort_is_bounded(monkeypatch):
+    # The 16x16 lattice has no 5 pairwise visible points.  The greedy bound
+    # alone visits 108,733 nodes to prove it; with the root's DSATUR classes,
+    # four on every lattice, the search visits a few hundred.
+    calls = 0
+    colours = clique._colours
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return colours(*args)
+
+    monkeypatch.setattr(clique, "_colours", counted)
+    verdict = check_blbc_instance(lattice_points(16), 5, 17)
+    assert verdict.clique_size == 4
+    assert calls < 1000
 
 
 def witness_family():

@@ -138,6 +138,27 @@ def test_uniquetriple_detects_moved_point():
     }
 
 
+def test_uniquetriple_detects_point_beyond_its_pair():
+    # point 4 stays on the line of its pair (1, 2) but lies beyond 2: the
+    # map's order along that line, not collinearity, must fail it
+    ps, trace, _ = golden(6)
+    beyond = Point(F(2), F(0))
+    points = list(ps.points)
+    points[3] = beyond
+    trace = [
+        dataclasses.replace(rec, point=beyond) if rec.n == 4 else rec
+        for rec in trace
+    ]
+    report = verify_unique_triple_at_insertion(trace, PointSet(points))
+    assert not report.passed
+    assert report.counterexample == {
+        "n": 4,
+        "expected_pair": [1, 2],
+        "collinear_pairs": [[1, 2]],
+        "on_segment": False,
+    }
+
+
 def test_uniquetriple_detects_extra_collinearity():
     # rewrite step 7 to use an excluded parameter: the moved point still
     # sits on its recorded segment (3, 4) but also on two spanned lines
