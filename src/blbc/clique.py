@@ -9,6 +9,11 @@ greedy classes of inner nodes are often many more than the root's four
 DSATUR classes, which is where the second bound prunes.  Both bounds
 prune only subtrees that cannot beat the incumbent or reach the cap, so
 they change which nodes are visited but never which clique is returned.
+Each bound is needed.  Without the root classes the search visits
+108,733 nodes on the 16×16 lattice with k = 5, not 216.  Without the
+greedy classes it visits as many nodes on the 12×12 to 20×20 lattices
+and on 300- and 600-point runs, but 4,920,333, not 74,882, on a dense
+random graph, G(100, 0.9).
 """
 
 from __future__ import annotations

@@ -10,14 +10,15 @@ point by point for its pending pairs, while the verifier, the analyzer
 and the renderer each build their own.  The map keeps the sparse side
 of its pairs: ``covered``, the pairs on lines of three or more points,
 each line's members kept in order along it as points are fed; its
-``two_point`` is a read-only view of every other pair, `TwoPointPairs`.
+``two_point`` is a read-only view of every other pair, `TwoPointPairs`,
+iterated by the one (j, i) walk that ``least()`` reads from a cursor.
 Its ``blocked()`` is the one place that says which pairs are not
-visible: the covered pairs that are not neighbours along their line, n - 3
-of them in a construction run.  ``visible()`` yields every other pair
+visible: each point's partners two or more apart along a line, n - 3
+pairs in a construction run.  ``visible()`` yields every other pair
 lazily, in ascending order, flattened from rows of each point's partners
 above it; the renderer reads those rows one at a time, so it never holds
 the visible pairs all at once.  The analyzer's clique search takes the
-vertices in no blocked pair without searching them.
+vertices with no blocked partner without searching them.
 The exclusion kernel behind `blocking_parameters` reads no line
 structure: from the homogeneous coordinates, in integers only, it orders
 the other points by the lines joining them to the segment's endpoints,
@@ -38,7 +39,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .clique import _require_cap, find_max_clique
 from .errors import DuplicatePointError, ImpossibleStateError, InputError, _require_int
@@ -140,23 +141,16 @@ class TwoPointPairs(Set):
     whose line carries no third point: the pairs of 1..n not covered.
 
     ``in`` is O(1); ``len`` is C(n, 2) less the size of ``covered``, which
-    holds only pairs of 1..n as the map keeps it; iteration is lazy, in
-    (j, i) order.  Two views of maps over as many points compare their
-    covered pairs, in O(|covered|); anything else compares as plain sets.
-    Either way ``==`` is that of the plain sets, whatever ``covered``
-    holds.
+    holds only pairs of 1..n as the map keeps it; iteration is the map's
+    lazy (j, i) walk.  Two views over as many points with equal covered
+    pairs are equal, in O(|covered|); anything else compares as plain
+    sets, so ``==`` is that of the plain sets whatever ``covered`` holds.
     """
 
     __slots__ = ("_lines",)
 
     def __init__(self, lines: LineIncidenceMap) -> None:
         self._lines = lines
-
-    def _covered(self) -> set[tuple[int, int]]:
-        """The covered pairs that are pairs of 1..n: all of them, unless
-        ``covered`` was written to from outside the map."""
-        n = self._lines.n
-        return {p for p in self._lines.covered if _is_pair(p, n)}
 
     def __contains__(self, pair: object) -> bool:
         return _is_pair(pair, self._lines.n) and pair not in self._lines.covered
@@ -165,16 +159,12 @@ class TwoPointPairs(Set):
         return comb(self._lines.n, 2) - len(self._lines.covered)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        covered = self._lines.covered
-        for j in range(2, self._lines.n + 1):
-            for i in range(1, j):
-                if (i, j) not in covered:
-                    yield i, j
+        return self._lines._two_point_from(2, 1)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, TwoPointPairs) and other._lines.n == self._lines.n:
-            mine, theirs = self._lines.covered, other._lines.covered
-            return mine == theirs or self._covered() == other._covered()
+        if isinstance(other, TwoPointPairs):
+            if (other._lines.n, other._lines.covered) == (self._lines.n, self._lines.covered):
+                return True
         if not isinstance(other, Set):
             return NotImplemented
         return set(self) == set(other)
@@ -212,9 +202,9 @@ class LineIncidenceMap:
         self.covered: set[tuple[int, int]] = set()
         self.multi: dict[tuple[int, int], list[int]] = {}
         self.through: list[list[int]] = []
-        # (j, i) of the least pair that may be two-point; it only moves
-        # forward, as pairs become covered for good and new pairs sort
-        # after old ones
+        # (j, i) with every pair before it covered: pairs become covered
+        # for good and new pairs sort after old ones, so `least` starts
+        # its walk here
         self._next = (2, 1)
 
     @classmethod
@@ -241,13 +231,20 @@ class LineIncidenceMap:
         """Canonical line through the two points of ``key``."""
         return _line_from_hom(self.hom[key[0] - 1], self.hom[key[1] - 1])
 
+    def _two_point_from(self, j: int, i: int) -> Iterator[tuple[int, int]]:
+        """The two-point pairs from (j, i) on, as (i, j), lazily, in (j, i)
+        order: the pairs of 1..n not in ``covered``."""
+        covered = self.covered
+        for j in range(j, self.n + 1):
+            for i in range(i, j):
+                if (i, j) not in covered:
+                    yield i, j
+            i = 1
+
     def least(self) -> tuple[int, int] | None:
-        """Least two-point pair (i, j) in (j, i) order, or None."""
-        j, i = self._next
-        while j <= self.n and (i, j) in self.covered:
-            i += 1
-            if i == j:
-                j, i = j + 1, 1
+        """Least two-point pair (i, j) in (j, i) order, or None; with none,
+        the cursor moves past every pair of the points fed."""
+        i, j = next(self._two_point_from(*self._next), (1, self.n + 1))
         self._next = (j, i)
         return (i, j) if j <= self.n else None
 
@@ -293,32 +290,28 @@ class LineIncidenceMap:
                 covered.update((r, m) for r in group)
         return self
 
-    def consecutive(self) -> list[tuple[int, int]]:
-        """Visible pairs (i < j) on the lines of ``multi``: neighbours along
-        each line of three or more points."""
-        return [
-            (u, v) if u < v else (v, u)
-            for order in self.multi.values()
-            for u, v in zip(order, order[1:])
-        ]
-
-    def blocked(self) -> set[tuple[int, int]]:
-        """Pairs (i < j) with a point strictly between them: the covered
-        pairs that are not neighbours along their line.  A construction run
-        of n points has n - 3."""
-        return self.covered.difference(self.consecutive())
+    def blocked(self) -> dict[int, set[int]]:
+        """Each point's blocked partners: the points two or more apart from
+        it along a line of ``multi``, so with a point strictly between.
+        Each blocked pair is listed under both its points, and a point in
+        none has no entry.  A construction run of n points has n - 3."""
+        partners: dict[int, set[int]] = {}
+        for order in self.multi.values():
+            for pos, u in enumerate(order):
+                for v in order[pos + 2:]:
+                    partners.setdefault(u, set()).add(v)
+                    partners.setdefault(v, set()).add(u)
+        return partners
 
     def _rows(self) -> Iterator[tuple[int, Sequence[int]]]:
         """Each i in ascending order with its visible partners above it,
-        ascending: every j > i that is not in a blocked pair with i.  An i
-        with no such j is skipped.  Only the blocked pairs and one row are
-        held while it runs."""
-        above: dict[int, set[int]] = {}
-        for i, j in self.blocked():
-            above.setdefault(i, set()).add(j)
+        ascending: every j > i that is not a blocked partner of i.  An i
+        with no such j is skipped.  Only the blocked partners and one row
+        are held while it runs."""
+        partners = self.blocked()
         n = self.n
         for i in range(1, n):
-            skip = above.get(i)
+            skip = partners.get(i)
             row = range(i + 1, n + 1) if skip is None else [
                 j for j in range(i + 1, n + 1) if j not in skip]
             if row:
@@ -328,7 +321,7 @@ class LineIncidenceMap:
         """Every visible pair (i < j) once, lazily, in ascending (i, j)
         order: each pair that is not covered, or is consecutive on its line,
         so not blocked.  The pairs are `_rows` flattened, so only the blocked
-        pairs and one row are held while it runs."""
+        partners and one row are held while it runs."""
         return ((i, j) for i, row in self._rows() for j in row)
 
 
@@ -411,10 +404,12 @@ def _largest_line(lines: LineIncidenceMap) -> tuple[int, list[int]]:
 
 
 def _largest_clique(
-    n: int, blocked: Iterable[tuple[int, int]], cap: int | None
+    n: int, partners: Mapping[int, set[int]], cap: int | None
 ) -> tuple[int, list[int]]:
     """Size and witness of `find_max_clique` on the graph over 1..n whose
-    non-edges are ``blocked``, searching only the vertices in a blocked pair.
+    non-edges are the blocked pairs, given as ``partners``, each vertex's
+    blocked partners (`LineIncidenceMap.blocked`), searching only the
+    vertices with an entry.
 
     A vertex with no blocked partner is universal: it is in every maximal
     clique.  The whole-graph walk ranks the universal vertices first, with
@@ -428,10 +423,6 @@ def _largest_clique(
     ``cap`` - |U|, with the neighbour sets held for R only.
     """
     _require_cap(cap)
-    partners: dict[int, set[int]] = {}
-    for i, j in blocked:
-        partners.setdefault(i, set()).add(j)
-        partners.setdefault(j, set()).add(i)
     universal = [v for v in range(1, n + 1) if v not in partners]
     if cap is not None and cap <= len(universal):
         return cap, universal[:cap]

@@ -394,14 +394,15 @@ def test_generate_from_custom_seed():
 def test_construction_map_orders_its_lines_in_the_seed_frame(seed):
     # the map holds the points in the seed's frame, where the seed is
     # (0,0), (1,0), (0,1); an affine map keeps betweenness, so the map's
-    # consecutive pairs are the raw visible pairs on lines of three.
+    # blocked pairs are the raw covered pairs with a point between them.
     # Every two-point pair is visible, so only the others need the
     # per-pair test of build_visibility_graph_naive.
     for state in generate_states(seed, 40):
         ps = state.point_set()
-        visible = {pair for pair in itertools.combinations(range(1, ps.n + 1), 2)
-                   if pair not in state.lines.two_point and is_visible(*pair, ps)}
-        assert set(state.lines.consecutive()) == visible
+        hidden = {pair for pair in itertools.combinations(range(1, ps.n + 1), 2)
+                  if pair not in state.lines.two_point and not is_visible(*pair, ps)}
+        partners = state.lines.blocked()
+        assert {(i, j) for i, near in partners.items() for j in near if i < j} == hidden
 
 
 def test_construction_invariants_hold_along_run():

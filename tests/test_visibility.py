@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from blbc import visibility
 from blbc.clique import find_max_clique
@@ -470,6 +470,46 @@ def construction_prefixes(draw):
     return list(generate(seed, draw(st.integers(3, 22))).points)
 
 
+def j_then_i(pair):
+    return pair[1], pair[0]
+
+
+# three points on the x-axis, one off it, then a fourth on the axis
+LINE_THEN_OFF = [Point(F(x), F(y)) for x, y in [(0, 0), (1, 0), (2, 0), (0, 1), (3, 0)]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(construction_prefixes() | collinear_rich_points(),
+       st.lists(st.integers(0, 24), max_size=8))
+@example(LINE_THEN_OFF, [3, 4])
+def test_least_reads_the_walk_from_its_cursor(points, stops):
+    # fed up to each stop in turn, and asked twice there: least() is the
+    # least two-point pair in (j, i) order, also after an ask at 0, 1 or
+    # 3 collinear points found none and put its cursor past every pair
+    lmap = LineIncidenceMap(PointSet(points).homogeneous())
+    for m in [0, *sorted(min(m, len(points)) for m in stops), len(points)]:
+        lmap.advance(m)
+        pairs = list(lmap.two_point)
+        assert pairs == sorted(pairs, key=j_then_i)
+        least = min(pairs, key=j_then_i, default=None)
+        assert lmap.least() == least and lmap.least() == least
+
+
+@settings(max_examples=60, deadline=None)
+@given(construction_prefixes().map(lambda p: (p, True))
+       | collinear_rich_points().map(lambda p: (p, False)))
+def test_blocked_partners_are_the_pairs_the_naive_graph_leaves_out(drawn):
+    points, constructed = drawn
+    ps = PointSet(points)
+    partners = LineIncidenceMap.from_point_set(ps).blocked()
+    pairs = {(i, j) for i, near in partners.items() for j in near if i < j}
+    assert all(near and all(i in partners[j] for j in near) for i, near in partners.items())
+    naive = set(build_visibility_graph_naive(ps).edges)
+    assert pairs == set(combinations(range(1, ps.n + 1), 2)) - naive
+    if constructed:
+        assert len(pairs) == ps.n - 3
+
+
 @settings(max_examples=60, deadline=None)
 @given(construction_prefixes() | collinear_rich_points(), st.data())
 def test_peeled_clique_is_the_whole_graph_search(points, data):
@@ -491,12 +531,15 @@ def test_peel_on_random_graphs_with_universal_vertices(core, extra, density, see
     ids = rng.sample(range(1, n + 1), n)
     blocked = [e for e in combinations(sorted(ids[:core]), 2) if rng.random() < density]
     adjacency = {v: set(range(1, n + 1)) - {v} for v in range(1, n + 1)}
+    partners = {}
     for i, j in blocked:
         adjacency[i].discard(j)
         adjacency[j].discard(i)
+        partners.setdefault(i, set()).add(j)
+        partners.setdefault(j, set()).add(i)
     cap = data.draw(st.none() | st.integers(1, n + 1))
     witness = find_max_clique(range(1, n + 1), adjacency, cap)
-    assert _largest_clique(n, blocked, cap) == (len(witness), witness)
+    assert _largest_clique(n, partners, cap) == (len(witness), witness)
 
 
 def test_check_blbc_instance_searches_only_the_non_universal_vertices(monkeypatch):
