@@ -4,12 +4,14 @@ Two points of a set are mutually visible when no third point of the set
 lies strictly inside the segment between them.  Any blocker is collinear
 with the pair, so visibility is decided entirely by the arrangement of
 lines spanned by the set.  `LineIncidenceMap` finds that arrangement by
-grouping earlier points by exact direction from each new one, and is the
+grouping the earlier points by the slope of their line to each new one,
+each keyed by one int, the slope's `_key_bits` floor, and is the
 package's only incidence structure: the construction grows one instance
 point by point for its pending pairs, while the verifier, the analyzer
 and the renderer each build their own.  The map keeps the sparse side
 of its pairs: ``covered``, the pairs on lines of three or more points,
-each line's members kept in order along it as points are fed; its
+each line's members kept in order along it, by an int key too, as points
+are fed; its
 ``two_point`` is a read-only view of every other pair, `TwoPointPairs`,
 iterated by the one (j, i) walk that ``least()`` reads from a cursor.
 Its ``blocked()`` is the one place that says which pairs are not
@@ -25,7 +27,8 @@ the other points by the lines joining them to the segment's endpoints,
 visits only the pairs whose line crosses the segment, and keys each
 crossing by one int, the floor of its parameter times 2^bits, with bits
 wide enough, from a bound on the denominators proven from the call's own
-coordinates, that distinct parameters never share a floor; an
+coordinates, that distinct parameters never share a floor (the map's
+keys rest on the same `_key_bits` argument); an
 `ExclusionSet` shows those keys as a set of Fractions.  A direct
 per-pair reference implementation of visibility is kept alongside as
 the oracle.
@@ -179,15 +182,23 @@ class TwoPointPairs(Set):
 
 
 class LineIncidenceMap:
-    """Every line spanned by the points fed so far, from exact directions.
+    """Every line spanned by the points fed so far, from exact slopes.
 
-    Each new point n groups the earlier points by exact direction from it.
-    A lone point r leaves {r, n} a two-point line; a group of two turns
-    its pair's line into a three-point one; a larger group is a line of
-    ``multi`` that n joins.  ``multi`` maps each line of three or more
-    points, keyed by its two least indices, to its members in order along
-    it in the frame of ``hom``, by x or by y on a vertical line; affine
-    maps keep betweenness, so their consecutive pairs are the raw ones.
+    Each new point n groups the earlier points r by the slope dy/dx of
+    the line rn, in ints: (dx, dy) is W_r·W_n·(p_r - p_n), so |dx| is at
+    most D = max |X|·W_n + |X_n|·max W over the points fed before n, and
+    the slope's reduced denominator is at most D.  So its `_key_bits(D)`
+    floor, ``(dy << bits) // dx``, is one int per pair that equal slopes
+    share and distinct ones do not; the vertical line (dx = 0) has one
+    sentinel key.  A lone point r leaves {r, n} a two-point line; a group
+    of two turns its pair's line into a three-point one; a larger group
+    is a line of ``multi`` that n joins.  ``multi`` maps each line of
+    three or more points, keyed by its two least indices, to its members
+    in order along it in the frame of ``hom``, by x or by y on a vertical
+    line, each keyed by the `_key_bits(max W)` floor of that coordinate;
+    affine maps keep betweenness, so their consecutive pairs are the raw
+    ones.  The maxima are running ones over the points fed, since ``hom``
+    only grows; a refused point changes neither them nor anything else.
     ``covered`` holds every pair (i < j) on such a line.  ``two_point``
     is a read-only view of the other pairs, those whose line carries no
     third point; only ``covered`` is stored.  ``through`` lists the
@@ -202,6 +213,8 @@ class LineIncidenceMap:
         self.covered: set[tuple[int, int]] = set()
         self.multi: dict[tuple[int, int], list[int]] = {}
         self.through: list[list[int]] = []
+        # the largest |X| and W of the points fed, which bound the keys
+        self._max_x = self._max_w = 0
         # (j, i) with every pair before it covered: pairs become covered
         # for good and new pairs sort after old ones, so `least` starts
         # its walk here
@@ -256,37 +269,47 @@ class LineIncidenceMap:
             raise InputError(f"cannot feed up to point {n}: {self.n} points are fed already")
         if n > len(self.hom):
             raise InputError(f"cannot feed point {n}: the map holds {len(self.hom)} points")
-        covered = self.covered
+        hom, covered, multi = self.hom, self.covered, self.multi
         for m in range(self.n + 1, n + 1):
-            hx, hy, hw = self.hom[m - 1]
-            buckets: dict[tuple[int, int], list[int]] = {}
-            for r in range(1, m):
-                rx, ry, rw = self.hom[r - 1]
+            hx, hy, hw = hom[m - 1]
+            bits = _key_bits(self._max_x * hw + abs(hx) * self._max_w)  # D >= |dx|
+            first: dict[int | None, int] = {}  # slope key: its least point
+            groups: dict[int | None, list[int]] = {}  # slope key: 2+ points
+            for r, (rx, ry, rw) in enumerate(hom[: m - 1], start=1):
                 dx = rx * hw - hx * rw
                 dy = ry * hw - hy * rw
-                g = gcd(dx, dy)
-                if g == 0:
+                if dx:
+                    slope = (dy << bits) // dx
+                elif dy:
+                    slope = None  # the vertical line through m
+                else:
                     raise DuplicatePointError(f"points {r} and {m} coincide")
-                if dx < 0 or (dx == 0 and dy < 0):
-                    g = -g
-                buckets.setdefault((dx // g, dy // g), []).append(r)
+                least = first.setdefault(slope, r)
+                if least != r:
+                    group = groups.get(slope)
+                    if group is None:
+                        groups[slope] = [least, r]
+                    else:
+                        group.append(r)
             self.n = m
+            self._max_x = max(self._max_x, abs(hx))
+            self._max_w = max(self._max_w, hw)
+            along_bits = _key_bits(self._max_w)
             self.through = []
-            for (ux, uy), group in buckets.items():
-                if len(group) == 1:
-                    continue
+            for slope, group in sorted(groups.items(), key=lambda item: item[1][0]):
                 self.through.append(group)
+                axis = 1 if slope is None else 0  # by y on a vertical line, else by x
 
-                def along(r: int) -> Fraction:  # exact position along (ux, uy)
-                    x, y, w = self.hom[r - 1]
-                    return Fraction(ux * x + uy * y, w)
+                def along(r: int) -> int:  # order along the line
+                    p = hom[r - 1]
+                    return (p[axis] << along_bits) // p[2]
 
                 key = (group[0], group[1])
                 if len(group) == 2:
-                    self.multi[key] = sorted([*group, m], key=along)
+                    multi[key] = sorted([*group, m], key=along)
                     covered.add(key)
                 else:
-                    insort(self.multi[key], m, key=along)
+                    insort(multi[key], m, key=along)
                 covered.update((r, m) for r in group)
         return self
 
@@ -569,7 +592,10 @@ def _assert_pairwise_visible(ps: PointSet, witness: list[int]) -> None:
 def _key_bits(bound: int) -> int:
     """Width of the floor keys of rationals whose reduced denominators are
     at most ``bound``: the key of v is floor(v·2^bits), with bits
-    2·L + 1 for L = bound.bit_length(), so bound < 2^L.
+    2·L + 1 for L = bound.bit_length(), so bound < 2^L.  Three readers
+    key by it: the exclusion kernel its crossing parameters, `_order_keys`
+    its sweep order, and `LineIncidenceMap` its slopes and positions
+    along a line.
 
     Two distinct such rationals differ by at least 1/bound², more than
     2·2^-bits, so their floors differ; equal ones share a floor however

@@ -1,7 +1,9 @@
+import copy
 import random
+from bisect import insort
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -244,6 +246,17 @@ def test_advance_refuses_a_repeated_point():
     with pytest.raises(DuplicatePointError, match="^points 1 and 3 coincide$"):
         lmap.advance(3)
     assert lmap.n == 2 and not lmap.covered
+    for hom in (
+        # (0, 1) again, on the vertical line through it that 1 and 3 share
+        [(0, 0, 1), (0, 1, 1), (0, 3, 1), (0, 1, 1)],
+        # (3, 2) again, with an |X| and a W above those of every point fed
+        [(0, 0, 1), (3, 2, 1), (1, 5, 1), (9, 6, 3)],
+    ):
+        lmap = LineIncidenceMap(hom).advance(3)
+        fed = copy.deepcopy(vars(lmap))  # the key bounds included
+        with pytest.raises(DuplicatePointError, match="^points 2 and 4 coincide$"):
+            lmap.advance(4)
+        assert vars(lmap) == fed
 
 
 def test_advance_refuses_to_feed_past_the_points_held():
@@ -508,6 +521,87 @@ def test_blocked_partners_are_the_pairs_the_naive_graph_leaves_out(drawn):
     assert pairs == set(combinations(range(1, ps.n + 1), 2)) - naive
     if constructed:
         assert len(pairs) == ps.n - 3
+
+
+def reference_grouping(hom):
+    """The map's grouping written with gcd and Fraction: each earlier
+    point keyed by its reduced direction from the new one, each line's
+    members ordered by their exact position along that direction.
+    Returns ``through`` after each point fed, then ``multi`` and
+    ``covered``."""
+    throughs, multi, covered = [], {}, set()
+    for m in range(1, len(hom) + 1):
+        hx, hy, hw = hom[m - 1]
+        buckets = {}
+        for r in range(1, m):
+            rx, ry, rw = hom[r - 1]
+            dx, dy = rx * hw - hx * rw, ry * hw - hy * rw
+            g = gcd(dx, dy)
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            buckets.setdefault((dx // g, dy // g), []).append(r)
+        through = []
+        for (ux, uy), group in buckets.items():
+            if len(group) == 1:
+                continue
+            through.append(group)
+
+            def along(r, ux=ux, uy=uy):
+                x, y, w = hom[r - 1]
+                return Fraction(ux * x + uy * y, w)
+
+            key = (group[0], group[1])
+            if len(group) == 2:
+                multi[key] = sorted([*group, m], key=along)
+                covered.add(key)
+            else:
+                insort(multi[key], m, key=along)
+            covered.update((r, m) for r in group)
+        throughs.append(through)
+    return throughs, multi, covered
+
+
+WIDE = st.builds(F, st.integers(-2**200, 2**200), st.integers(1, 2**200))
+
+
+@st.composite
+def wide_collinear_rich_points(draw):
+    """`collinear_rich_points` under x -> a·x + c, y -> b·y + d, with a, b,
+    c, d rationals of numerators and denominators up to 200 bits: every
+    collinearity is kept, vertical and horizontal lines included."""
+    a, b = draw(WIDE.filter(bool)), draw(WIDE.filter(bool))
+    c, d = draw(WIDE), draw(WIDE)
+    return [Point(a * p.x + c, b * p.y + d) for p in draw(collinear_rich_points())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(collinear_rich_points() | construction_prefixes() | wide_collinear_rich_points())
+def test_map_groups_as_the_reference_does(points):
+    # fed one point at a time: the int slope and position keys group and
+    # order every line as reduced directions and Fractions do
+    hom = PointSet(points).homogeneous()
+    throughs, multi, covered = reference_grouping(hom)
+    lmap = LineIncidenceMap(hom)
+    assert [lmap.advance(m).through for m in range(1, len(hom) + 1)] == throughs
+    assert list(lmap.multi.items()) == list(multi.items())
+    assert lmap.covered == covered
+
+
+# Farey neighbours p/q and p2/q2 (p·q2 - p2·q = ±1): q is the bound D that
+# the map proves for point 4, the origin, and q2 is just under it; keys
+# of width `_key_bits(D) - 2` give both slopes one floor
+@pytest.mark.parametrize("p, q, p2, q2", [
+    (1, 1000, 1, 999),
+    (999, 1000, 998, 999),
+    (333, 1000, 332, 997),
+    (524285, 1048571, 524284, 1048569),
+])
+def test_slope_keys_separate_farey_neighbours(p, q, p2, q2):
+    assert abs(p * q2 - p2 * q) == 1
+    # point 3 is on point 1's line through the origin, on its far side
+    lmap = LineIncidenceMap(PointSet([(q, p), (q2, p2), (-q, -p), (0, 0)]).homogeneous())
+    assert lmap.advance(4).through == [[1, 3]]
+    assert lmap.multi == {(1, 3): [3, 4, 1]}
 
 
 @settings(max_examples=60, deadline=None)
