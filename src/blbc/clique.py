@@ -112,11 +112,12 @@ def find_max_clique(
     most neighbours in ``cand``; the branches are its non-neighbours in
     ``cand``, in ascending bit order.  The whole graph is coloured once, at
     the root, by `_dsatur`.  A node is expanded only when its clique plus
-    the number of greedy colour classes of ``cand`` beats the incumbent,
-    and so does its clique plus the number of root classes that ``cand``
-    hits; the root classes are counted only when the greedy count does not
-    prune.  Either count bounds every clique inside ``cand``, as a clique
-    takes at most one vertex of each class.  So a pruned subtree holds no
+    the number of root classes that ``cand`` hits beats the incumbent,
+    and so does its clique plus the number of greedy colour classes of
+    ``cand``; the greedy classes, which cost a pass over ``cand``, are
+    counted only when the root classes do not prune.  Either count bounds
+    every clique inside ``cand``, as a clique takes at most one vertex of
+    each class.  So a pruned subtree holds no
     clique larger than the incumbent, and none of size ``cap``, which is
     always larger than the incumbent: the first improving clique, and so
     every witness, is the one the plain bound ``len(clique) + |cand|``
@@ -142,8 +143,8 @@ def find_max_clique(
             if len(clique) > len(best):
                 best = sorted(clique)
         elif (
-            len(clique) + _colours(cand, nbr, len(best) - len(clique)) > len(best)
-            and len(clique) + _classes_hit(cand, classes, len(best) - len(clique)) > len(best)
+            len(clique) + _classes_hit(cand, classes, len(best) - len(clique)) > len(best)
+            and len(clique) + _colours(cand, nbr, len(best) - len(clique)) > len(best)
         ):
             pivot, cover, rest = 0, -1, cand | excl
             while rest:

@@ -38,6 +38,7 @@ from .geometry import (
     Point,
     _check_parameter,
     _homogeneous,
+    _require_fraction,
     orientation,
     segment_param_point,
 )
@@ -79,16 +80,42 @@ DEFAULT_SEED = SeedTriple(
 )
 
 
+def _two_indices(pair: object, what: str) -> OrdinaryPair:
+    """``pair`` as an `OrdinaryPair` of two int indices, else InputError."""
+    try:
+        i, j = pair
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be two indices, got {pair!r}") from exc
+    for index in (i, j):
+        _require_int(index, f"index of {what} {pair!r}")
+    return OrdinaryPair(i, j)
+
+
 @dataclass(frozen=True)
 class InsertionRecord:
     """One construction step: point ``n`` placed on pair ``pair`` at
-    parameter ``chosen_t`` after ruling out ``excluded_count`` parameters."""
+    parameter ``chosen_t`` after ruling out ``excluded_count`` parameters.
+
+    The one place a record's field types are decided, so no reader checks
+    them again: int ``n`` and ``excluded_count``, two int indices for
+    ``pair`` (kept as an `OrdinaryPair`), a Fraction ``chosen_t`` and an
+    exact ``point`` (kept as `_coerce_point` returns it); else InputError.
+    Values are the checks' business: a negative count or a t outside
+    (0, 1) is still built, so that the verifier can report it.
+    """
 
     n: int
     pair: OrdinaryPair
     excluded_count: int
     chosen_t: Fraction
     point: Point
+
+    def __post_init__(self) -> None:
+        _require_int(self.n, "record point number")
+        object.__setattr__(self, "pair", _two_indices(self.pair, "record pair"))
+        _require_int(self.excluded_count, "record excluded_count")
+        _require_fraction(self.chosen_t)
+        object.__setattr__(self, "point", _coerce_point(self.point, self.n))
 
 
 class ConstructionState:
@@ -189,15 +216,10 @@ def select_ordinary_pair(state: ConstructionState) -> OrdinaryPair:
 
 
 def _as_pending_pair(state: ConstructionState, pair: Sequence[int]) -> OrdinaryPair:
-    try:
-        i, j = pair
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"pair must be two indices, got {pair!r}") from exc
-    for index in (i, j):
-        _require_int(index, f"index of pair {pair!r}")
-    if (i, j) not in state.pending:
-        raise PendingPairError(f"pair {(i, j)} is not pending")
-    return OrdinaryPair(i, j)
+    pair = _two_indices(pair, "pair")
+    if pair not in state.pending:
+        raise PendingPairError(f"pair {tuple(pair)} is not pending")
+    return pair
 
 
 def excluded_parameters(state: ConstructionState, pair: Sequence[int]) -> ExclusionSet:

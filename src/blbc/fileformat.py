@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .construction import InsertionRecord, OrdinaryPair
+from .construction import InsertionRecord
 from .errors import FormatError, RationalFormatError
 from .geometry import Point
 from .rational import format_rational, parse_rational
@@ -184,7 +184,7 @@ def parse_trace_file(text: str) -> list[InsertionRecord]:
         records.append(
             InsertionRecord(
                 n=n,
-                pair=OrdinaryPair(i, j),
+                pair=(i, j),
                 excluded_count=excluded_count,
                 chosen_t=t,
                 point=point,
@@ -204,7 +204,7 @@ def serialize_trace_file(records: Sequence[InsertionRecord]) -> str:
                 "j": rec.pair.j,
                 "excluded_count": rec.excluded_count,
                 "t": format_rational(rec.chosen_t),
-                "point": _point_json(Point(Fraction(rec.point.x), Fraction(rec.point.y))),
+                "point": _point_json(rec.point),
             }
             for rec in records
         ],

@@ -30,8 +30,8 @@ state's points, trace and pending set).  Both maps store only the pairs
 covered by lines of three or more points, and a pending set is a
 read-only view of the other pairs, so comparing a state's pending set
 with the engine's costs O(n) per prefix.  The engine keeps the
-consecutive pairs along its lines as a graph, with its triangles,
-updated from the lines each point joins.
+consecutive pairs along its lines as a graph, with a count of its
+triangles, updated from the lines each point joins.
 `verify_construction_run` reports after every point of a run; the
 per-set functions and `verify_points` feed a whole set and report once.
 Both select their checks through one `_selected`, so for any ``checks``
@@ -49,9 +49,9 @@ from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 from .construction import ConstructionState, InsertionRecord
 from .errors import ConsistencyError, InputError, _require_int
-from .geometry import Point, _homogeneous, _require_fraction, on_open_segment
+from .geometry import Point, _homogeneous, on_open_segment
 from .rational import format_rational
-from .visibility import LineIncidenceMap, PointSet
+from .visibility import LineIncidenceMap, PointSet, _coerce_point
 
 
 @dataclass(frozen=True)
@@ -101,25 +101,26 @@ def _lemma_line_failures(order: Sequence[int]) -> list[dict]:
 
 class _Triangles:
     """A graph of distinct edges, added and removed one at a time, with
-    ``found``, every triangle it holds as an ascending triple.
+    ``count``, the number of triangles it holds.
 
     A triangle of the visibility graph violates the pending invariant
     exactly when all three of its edges lie outside the pending set, i.e.
-    when it appears in the graph of those edges.  Each change looks only
-    at the triangles through its own edge.
+    when it appears in the graph of those edges.  An edge (u, v) makes or
+    breaks one triangle per common neighbour of u and v, so each change
+    counts only those; `least` lists none but the one it returns.
     """
 
     def __init__(self, edges: Iterable[tuple[int, int]] = ()) -> None:
         self.adj: dict[int, set[int]] = {}
         self.edges = 0
-        self.found: set[tuple[int, int, int]] = set()
+        self.count = 0
         for u, v in edges:
             self.add(u, v)
 
     def add(self, u: int, v: int) -> None:
         near_u = self.adj.setdefault(u, set())
         near_v = self.adj.setdefault(v, set())
-        self.found.update(tuple(sorted((u, v, w))) for w in near_u & near_v)
+        self.count += len(near_u & near_v)
         near_u.add(v)
         near_v.add(u)
         self.edges += 1
@@ -128,8 +129,19 @@ class _Triangles:
         near_u, near_v = self.adj[u], self.adj[v]
         near_u.discard(v)
         near_v.discard(u)
-        self.found.difference_update(tuple(sorted((u, v, w))) for w in near_u & near_v)
+        self.count -= len(near_u & near_v)
         self.edges -= 1
+
+    def least(self) -> tuple[int, int, int] | None:
+        """The least triangle as an ascending triple, or None.  The first
+        edge (u, v) in ascending order with a common neighbour holds its
+        two least vertices: a smaller vertex of any triangle is met first."""
+        for u in sorted(self.adj):
+            for v in sorted(self.adj[u]):
+                common = self.adj[u] & self.adj[v]
+                if common:
+                    return u, v, min(common)
+        return None
 
 
 def _record_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
@@ -169,12 +181,10 @@ def _parameter_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
     """Counterexample unless 0 < t < 1 and the record's point is
     p_i + t·(p_j − p_i) for its pair (i, j), in exact arithmetic over the
     raw points; else None."""
-    t = rec.chosen_t
-    _require_fraction(t)
+    t, point = rec.chosen_t, rec.point
     i, j = rec.pair
     a, b = engine.points[i - 1], engine.points[j - 1]
     expected = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-    point = Point(*rec.point)
     if 0 < t < 1 and point == expected:
         return None
     return {
@@ -215,20 +225,9 @@ def _check_trace_against_points(ps: PointSet, trace: Sequence[InsertionRecord]) 
         _check_record(rec, n, ps.point(n))
 
 
-def _require_record_ints(rec: InsertionRecord) -> None:
-    """Refuse a record whose point number, pair indices or excluded count
-    is not an int: the checks index and compare with them as given."""
-    _require_int(rec.n, "record point number")
-    i, j = rec.pair
-    for index in (i, j):
-        _require_int(index, f"index of record pair {rec.pair!r}")
-    _require_int(rec.excluded_count, "record excluded_count")
-
-
 def _check_record(rec: InsertionRecord, n: int, point: Point) -> None:
     """Raise ConsistencyError unless rec places ``point`` as point n on a
     pair of earlier points."""
-    _require_record_ints(rec)
     if rec.n != n:
         raise ConsistencyError(f"record {n - 4} inserts point {rec.n}, expected {n}")
     i, j = rec.pair
@@ -303,7 +302,6 @@ class _Engine:
         self.hom.append(_homogeneous(p))
 
     def feed_record(self, rec: InsertionRecord) -> None:
-        _require_record_ints(rec)
         self.records += 1
         for name in self.checks:
             judge = CHECKS[name].judge
@@ -374,16 +372,16 @@ class _Engine:
             candidates = self.consecutive
         else:
             candidates = _Triangles(e for e in lines.visible() if e not in self.pending)
-        violations = candidates.found
+        violations = candidates.count
         return VerificationReport(
             "trianglepending",
             not violations,
-            {"triangle": list(min(violations))} if violations else None,
+            {"triangle": list(candidates.least())} if violations else None,
             {
                 "points": len(self.points),
                 "visible_edges": len(lines.two_point) + self.consecutive.edges,
                 "candidate_edges": candidates.edges,
-                "violations": len(violations),
+                "violations": violations,
             },
         )
 
@@ -586,10 +584,10 @@ def verify_construction_run(
             raise ConsistencyError(
                 f"state with {n} points carries {len(state.trace)} records"
             )
-        for p in state.points[len(engine.points):]:
-            engine.feed_point(p)
+        for pos in range(len(engine.points) + 1, n + 1):
+            engine.feed_point(_coerce_point(state.points[pos - 1], pos))
         if n > 3:
-            _check_record(state.trace[-1], n, state.points[-1])
+            _check_record(state.trace[-1], n, engine.points[-1])
             engine.feed_record(state.trace[-1])
 
         # After this check the engine's default pending set is the state's.

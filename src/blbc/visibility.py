@@ -64,18 +64,20 @@ class PointSet:
 
     def __init__(self, points: Iterable[Sequence]):
         pts: list[Point] = []
-        seen: dict[Point, int] = {}
+        hom: list[tuple[int, int, int]] = []
+        seen: dict[tuple[int, int, int], int] = {}  # equal points, equal triples
         for pos, raw in enumerate(points, start=1):
             p = _coerce_point(raw, pos)
-            first = seen.get(p)
-            if first is not None:
+            h = _homogeneous(p)
+            first = seen.setdefault(h, pos)
+            if first != pos:
                 raise DuplicatePointError(
                     f"points {first} and {pos} are both {p}"
                 )
-            seen[p] = pos
             pts.append(p)
+            hom.append(h)
         self._points = tuple(pts)
-        self._hom: list[tuple[int, int, int]] | None = None
+        self._hom = hom
 
     @property
     def n(self) -> int:
@@ -90,9 +92,7 @@ class PointSet:
         return _at(self._points, i)
 
     def homogeneous(self) -> list[tuple[int, int, int]]:
-        """Cached integer triples (X, Y, W), W > 0, for exact predicates."""
-        if self._hom is None:
-            self._hom = [_homogeneous(p) for p in self._points]
+        """Integer triples (X, Y, W), W > 0, for exact predicates."""
         return self._hom
 
     def __len__(self) -> int:

@@ -276,14 +276,14 @@ def test_lattice_search_effort_is_bounded(monkeypatch):
     # alone visits 108,733 nodes to prove it; with the root's DSATUR classes,
     # four on every lattice, the search visits a few hundred.
     calls = 0
-    colours = clique._colours
+    classes_hit = clique._classes_hit
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return colours(*args)
+        return classes_hit(*args)
 
-    monkeypatch.setattr(clique, "_colours", counted)
+    monkeypatch.setattr(clique, "_classes_hit", counted)
     verdict = check_blbc_instance(lattice_points(16), 5, 17)
     assert verdict.clique_size == 4
     assert calls < 1000

@@ -134,6 +134,15 @@ def _traces(draw):
     return records
 
 
+def test_record_of_a_tuple_pair_and_int_point_keeps_the_bytes():
+    loose = InsertionRecord(n=4, pair=(1, 2), excluded_count=0, chosen_t=F(1, 2),
+                            point=(1, 0))
+    exact = InsertionRecord(n=4, pair=OrdinaryPair(1, 2), excluded_count=0,
+                            chosen_t=F(1, 2), point=Point(F(1), F(0)))
+    assert type(loose.pair) is OrdinaryPair and type(loose.point) is Point
+    assert serialize_trace_file([loose]) == serialize_trace_file([exact])
+
+
 @given(st.lists(_POINTS, max_size=6), st.none() | _METADATA)
 def test_point_file_parse_inverts_serialize(points, metadata):
     text = serialize_point_file(PointFile(points=points, metadata=metadata))

@@ -6,6 +6,7 @@ from math import comb, gcd, lcm
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blbc import verifier
 from blbc.construction import (
@@ -35,6 +36,7 @@ from blbc.verifier import (
     verify_visible_pair_lemma,
 )
 from blbc.visibility import (
+    LineIncidenceMap,
     PointSet,
     blocking_parameters,
     build_visibility_graph_naive,
@@ -42,6 +44,7 @@ from blbc.visibility import (
     is_visible,
     max_visible_clique,
 )
+from test_visibility import collinear_rich_points
 
 F = Fraction
 
@@ -333,6 +336,46 @@ def test_trianglepending_validates_pending_entries():
         verify_triangle_pending(ps, [(1, 2, 3)])
 
 
+def brute_triangles(edges):
+    """Every triangle of the graph ``edges``, as ascending triples, in order."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return [(a, b, c) for a, b, c in combinations(sorted(adj), 3)
+            if b in adj[a] and c in adj[a] and c in adj[b]]
+
+
+def assert_counts_as_listed(graph, edges):
+    found = brute_triangles(edges)
+    assert graph.count == len(found)
+    assert graph.least() == (found[0] if found else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7))
+                .filter(lambda e: e[0] != e[1]), max_size=40))
+def test_triangle_count_follows_adds_and_removes(toggles):
+    # each drawn pair is added when absent and removed when present
+    graph, edges = verifier._Triangles(), set()
+    for u, v in toggles:
+        edge = (min(u, v), max(u, v))
+        if edge in edges:
+            edges.remove(edge)
+            graph.remove(u, v)
+        else:
+            edges.add(edge)
+            graph.add(u, v)
+        assert_counts_as_listed(graph, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(collinear_rich_points())
+def test_triangle_count_of_a_visibility_graph(points):
+    edges = list(LineIncidenceMap.from_point_set(points).visible())
+    assert_counts_as_listed(verifier._Triangles(edges), edges)
+
+
 # exclusion bound
 
 
@@ -489,8 +532,8 @@ def test_tampered_record_fails_only_its_checks(field, failing, counterexample):
 
 def test_segmentparameter_refuses_an_inexact_t():
     ps, trace, _ = golden(8)
-    bad = [dataclasses.replace(rec, chosen_t=0.5) if rec.n == 4 else rec for rec in trace]
     with pytest.raises(InputError, match="Fraction"):
+        bad = [dataclasses.replace(rec, chosen_t=0.5) if rec.n == 4 else rec for rec in trace]
         verify_points(ps, bad, ["segmentparameter"])
 
 
@@ -889,6 +932,27 @@ def test_sweep_rejects_repeated_point():
         verify_construction_run(iter(states), checks=["no4collinear"])
 
 
+@pytest.mark.parametrize("third", [Point(0.5, 1), (0.5, 1)], ids=["point", "tuple"])
+def test_sweep_refuses_an_inexact_point(third):
+    state = SimpleNamespace(points=[DEFAULT_SEED[0], DEFAULT_SEED[1], third],
+                            trace=[], pending=set())
+    with pytest.raises(InputError) as info:
+        verify_construction_run(iter([state]))
+    assert type(info.value) is InputError
+    assert str(info.value) == ("point 3 has a non-rational coordinate 0.5; "
+                               "coordinates must be int or Fraction to stay exact")
+
+
+def test_sweep_reads_plain_tuples_as_points():
+    def as_tuples():
+        for state in generate_states(DEFAULT_SEED, 12):
+            yield SimpleNamespace(points=[tuple(p) for p in state.points],
+                                  trace=state.trace, pending=state.pending)
+
+    results, _ = verify_construction_run(as_tuples())
+    assert results == verify_construction_run(generate_states(DEFAULT_SEED, 12))[0]
+
+
 def states_one_record_short():
     states = [SimpleNamespace(points=list(s.points), trace=list(s.trace),
                               pending=set(s.pending))
@@ -990,6 +1054,37 @@ def test_thresholds_must_be_ints(call):
 # record fields are checked, not trusted
 
 
+GOOD_RECORD = {"n": 4, "pair": OrdinaryPair(1, 2), "excluded_count": 0,
+               "chosen_t": F(1, 2), "point": Point(F(1, 2), F(0))}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n", 4.0, "record point number must be int, got 4.0"),
+        ("pair", (1.0, 2), "index of record pair (1.0, 2) must be int, got 1.0"),
+        ("pair", (1, 2, 3), "record pair must be two indices, got (1, 2, 3)"),
+        ("excluded_count", True, "record excluded_count must be int, got True"),
+        ("chosen_t", 0.5, "parameter must be a Fraction, got 0.5"),
+        ("point", (0.1, 0), "point 4 has a non-rational coordinate 0.1; "
+                            "coordinates must be int or Fraction to stay exact"),
+    ],
+    ids=["float-n", "float-index", "three-indices", "bool-count", "float-t", "float-point"],
+)
+def test_record_refuses_a_field_of_the_wrong_type(field, value, message):
+    with pytest.raises(InputError) as info:
+        InsertionRecord(**{**GOOD_RECORD, field: value})
+    assert type(info.value) is InputError
+    assert str(info.value) == message
+
+
+def test_record_leaves_values_to_the_checks():
+    ps, trace = trace_with(4, excluded_count=-1, chosen_t=F(3, 2))
+    bound, parameter = verify_points(ps, trace, ["exclusionbound", "segmentparameter"])
+    assert bound.counterexample == {"n": 4, "excluded_count": -1, "bound": 0}
+    assert not parameter.passed and parameter.counterexample["t"] == "3/2"
+
+
 def trace_with(point, **fields):
     """A 6-point run's trace with the record of ``point`` given ``fields``."""
     ps, trace, _ = golden(6)
@@ -998,19 +1093,19 @@ def trace_with(point, **fields):
 
 
 def test_exclusion_bound_refuses_a_float_point_number():
-    _, trace = trace_with(4, n=4.0)
     with pytest.raises(InputError, match="record point number must be int"):
+        _, trace = trace_with(4, n=4.0)
         verify_exclusion_bound(trace)
 
 
 def test_unique_triple_refuses_a_float_pair_index():
-    ps, trace = trace_with(4, pair=OrdinaryPair(1.0, 2))
     with pytest.raises(InputError, match="must be int"):
+        ps, trace = trace_with(4, pair=OrdinaryPair(1.0, 2))
         verify_unique_triple_at_insertion(trace, ps)
 
 
 def test_exclusion_bound_refuses_a_bool_excluded_count():
     # True would be judged as 1, within the bound C(2, 2) = 1 at point 5
-    _, trace = trace_with(5, excluded_count=True)
     with pytest.raises(InputError, match="record excluded_count must be int"):
+        _, trace = trace_with(5, excluded_count=True)
         verify_exclusion_bound(trace)

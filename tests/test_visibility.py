@@ -66,6 +66,12 @@ def test_point_set_rejects_duplicates_naming_both_indices():
     assert "1" in str(exc.value) and "3" in str(exc.value)
 
 
+def test_point_set_refuses_a_repeat_written_another_way():
+    with pytest.raises(DuplicatePointError) as exc:
+        PointSet([(1, 2), (0, 0), (Fraction(4, 4), Fraction(2))])
+    assert str(exc.value) == "points 1 and 3 are both (1, 2)"
+
+
 def test_point_set_rejects_inexact_coordinates():
     with pytest.raises(InputError):
         PointSet([(0.5, 0)])
