@@ -80,14 +80,17 @@ DEFAULT_SEED = SeedTriple(
 )
 
 
-def _two_indices(pair: object, what: str) -> OrdinaryPair:
-    """``pair`` as an `OrdinaryPair` of two int indices, else InputError."""
+def _two_indices(pair: object, what: str, n: int | None = None) -> OrdinaryPair:
+    """``pair`` as an `OrdinaryPair` of two int indices, else InputError;
+    given n, also unless 1 <= i < j <= n."""
     try:
         i, j = pair
     except (TypeError, ValueError) as exc:
         raise InputError(f"{what} must be two indices, got {pair!r}") from exc
     for index in (i, j):
         _require_int(index, f"index of {what} {pair!r}")
+    if n is not None and not 1 <= i < j <= n:
+        raise InputError(f"{what} ({i}, {j}) outside 1 <= i < j <= {n}")
     return OrdinaryPair(i, j)
 
 

@@ -22,6 +22,10 @@ from .visibility import BlbcVerdict, _coerce_point
 
 FORMAT_VERSION = 1
 
+# the keys each object must have, named once rather than built per entry
+_POINT_KEYS = frozenset({"x", "y"})
+_RECORD_KEYS = frozenset({"n", "i", "j", "excluded_count", "t", "point"})
+
 
 @dataclass
 class PointFile:
@@ -106,7 +110,7 @@ def _parse_rational_field(value: object, field_name: str) -> Fraction:
 
 def _parse_point(value: object, field_name: str) -> Point:
     obj = _require_object(value, field_name)
-    _require_keys(obj, field_name, frozenset({"x", "y"}))
+    _require_keys(obj, field_name, _POINT_KEYS)
     return Point(
         _parse_rational_field(obj["x"], f"{field_name}.x"),
         _parse_rational_field(obj["y"], f"{field_name}.y"),
@@ -164,9 +168,7 @@ def parse_trace_file(text: str) -> list[InsertionRecord]:
     for idx, raw in enumerate(raw_records):
         f = f"records[{idx}]"
         obj = _require_object(raw, f)
-        _require_keys(
-            obj, f, frozenset({"n", "i", "j", "excluded_count", "t", "point"})
-        )
+        _require_keys(obj, f, _RECORD_KEYS)
         n = _require_int(obj["n"], f"{f}.n")
         if n != idx + 4:
             raise FormatError(f"{f}.n", f"expected {idx + 4} (consecutive from 4), got {n}")
@@ -178,7 +180,7 @@ def parse_trace_file(text: str) -> list[InsertionRecord]:
         if excluded_count < 0:
             raise FormatError(f"{f}.excluded_count", f"negative count {excluded_count}")
         t = _parse_rational_field(obj["t"], f"{f}.t")
-        if not 0 < t < 1:
+        if not 0 < t.numerator < t.denominator:  # 0 < t < 1
             raise FormatError(f"{f}.t", f"parameter {t} outside the open interval (0, 1)")
         point = _parse_point(obj["point"], f"{f}.point")
         records.append(

@@ -47,7 +47,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
-from .construction import ConstructionState, InsertionRecord
+from .construction import ConstructionState, InsertionRecord, _two_indices
 from .errors import ConsistencyError, InputError, _require_int
 from .geometry import Point, _homogeneous, on_open_segment
 from .rational import format_rational
@@ -237,19 +237,6 @@ def _check_record(rec: InsertionRecord, n: int, point: Point) -> None:
         raise ConsistencyError(
             f"record for point {rec.n} carries {rec.point}, but the set has {point}"
         )
-
-
-def _index_pair(raw: Sequence[int], what: str, n: int) -> tuple[int, int]:
-    """``raw`` as (i, j) with int indices 1 <= i < j <= n, else InputError."""
-    try:
-        i, j = raw
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{what} {raw!r} is not an index pair") from exc
-    for index in (i, j):
-        _require_int(index, f"index of {what} {raw!r}")
-    if not (1 <= i < j <= n):
-        raise InputError(f"{what} ({i}, {j}) outside 1 <= i < j <= {n}")
-    return i, j
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +504,7 @@ def verify_triangle_pending(
     """Every triangle of the visibility graph keeps at least one edge in
     ``pending``; equivalently, the subgraph of visible non-pending edges
     is triangle-free."""
-    pending_set = {_index_pair(raw, "pending pair", ps.n) for raw in pending}
+    pending_set = {_two_indices(raw, "pending pair", ps.n) for raw in pending}
     return _run(["trianglepending"], ps.points, pending=pending_set)[0]
 
 
@@ -533,7 +520,7 @@ def verify_ordinary_oracle(
     no collinear third point; fails when no such pair exists."""
     if ps.n < 2:
         raise InputError(f"ordinary-pair check needs >= 2 points, got {ps.n}")
-    sel = None if selected is None else _index_pair(selected, "selected pair", ps.n)
+    sel = None if selected is None else _two_indices(selected, "selected pair", ps.n)
     lines = LineIncidenceMap.from_point_set(ps)
     counterexample = _selection_counterexample(sel, lines.least())
     stats = {"points": ps.n, "ordinary_pairs": len(lines.two_point)}

@@ -81,6 +81,32 @@ def test_point_set_rejects_inexact_coordinates():
         PointSet([("1/2", 0)])
 
 
+class Half(Fraction):
+    """A Fraction subclass: an exact value, but not of type Fraction."""
+
+
+def test_an_exact_point_is_taken_as_it_is():
+    p = Point(F(1, 2), F(3))
+    assert visibility._coerce_point(p, 1) is p
+    assert PointSet([p]).point(1) is p
+    # each record holds the point the state holds, not a copy of it
+    state = generate(DEFAULT_SEED, 8)
+    assert all(rec.point is state.points[rec.n - 1] for rec in state.trace)
+
+
+@pytest.mark.parametrize("raw", [Point(1, 2), Point(F(1), 2), (F(1), F(2)), Point(Half(1), F(2))])
+def test_any_other_exact_pair_is_copied_into_fractions(raw):
+    p = visibility._coerce_point(raw, 1)
+    assert p is not raw and p == Point(F(1), F(2))
+    assert (type(p), type(p.x), type(p.y)) == (Point, Fraction, Fraction)
+
+
+def test_a_bool_coordinate_is_refused_in_a_point_too():
+    with pytest.raises(InputError, match=r"^point 4 has a non-rational coordinate True; "
+                       "coordinates must be int or Fraction to stay exact$"):
+        visibility._coerce_point(Point(True, 0), 4)
+
+
 def test_point_index_range():
     ps = PointSet([(0, 0), (1, 1)])
     with pytest.raises(InputError):
@@ -162,13 +188,17 @@ def brute_two_point(points):
     }
 
 
+SMALL = st.integers(-4, 4)
+SMALL_GRID = st.lists(st.tuples(SMALL, SMALL), min_size=2, max_size=6, unique=True).map(
+    lambda base: [Point(F(x), F(y)) for x, y in base])
+
+
 @st.composite
-def collinear_rich_points(draw):
-    """A few small grid points, then forced collinear triples (one more
-    point on a pair's line) and quadruples (two more), in any order."""
-    small = st.integers(-4, 4)
-    base = draw(st.lists(st.tuples(small, small), min_size=2, max_size=6, unique=True))
-    points = [Point(F(x), F(y)) for x, y in base]
+def collinear_rich_points(draw, base=SMALL_GRID):
+    """A few points that ``base`` draws, small grid points by default,
+    then forced collinear triples (one more point on a pair's line) and
+    quadruples (two more), in any order."""
+    points = list(draw(base))
     for _ in range(draw(st.integers(0, 3))):
         a, b = draw(st.sampled_from(points)), draw(st.sampled_from(points))
         ts = draw(st.sampled_from([(F(1, 2),), (F(2),), (F(1, 3), F(2, 3)), (F(-1), F(1, 2))]))
@@ -252,13 +282,22 @@ def test_advance_refuses_a_repeated_point():
     with pytest.raises(DuplicatePointError, match="^points 1 and 3 coincide$"):
         lmap.advance(3)
     assert lmap.n == 2 and not lmap.covered
-    for hom in (
+    p61, p89, p107 = 2**61 - 1, 2**89 - 1, 2**107 - 1  # Mersenne primes
+    for hom, den in (
         # (0, 1) again, on the vertical line through it that 1 and 3 share
-        [(0, 0, 1), (0, 1, 1), (0, 3, 1), (0, 1, 1)],
+        ([(0, 0, 1), (0, 1, 1), (0, 3, 1), (0, 1, 1)], 1),
         # (3, 2) again, with an |X| and a W above those of every point fed
-        [(0, 0, 1), (3, 2, 1), (1, 5, 1), (9, 6, 3)],
+        ([(0, 0, 1), (3, 2, 1), (1, 5, 1), (9, 6, 3)], 1),
+        # (1, 0) again, after a rescale to L = 3, and with a W that would
+        # rescale L to 6
+        ([(0, 0, 1), (1, 0, 1), (1, 1, 3), (2, 0, 2)], 3),
+        # (1/2, 0) again, after rescales to L = 6, with a W dividing L
+        ([(0, 0, 1), (1, 0, 2), (1, 1, 3), (3, 0, 6)], 6),
+        # (0, 1/p89) again, after the common denominator is dropped
+        ([(1, 0, p61), (0, 1, p89), (1, 1, p107), (0, 2, 2 * p89)], None),
     ):
         lmap = LineIncidenceMap(hom).advance(3)
+        assert (lmap._common and lmap._common.den) == den
         fed = copy.deepcopy(vars(lmap))  # the key bounds included
         with pytest.raises(DuplicatePointError, match="^points 2 and 4 coincide$"):
             lmap.advance(4)
@@ -580,17 +619,58 @@ def wide_collinear_rich_points(draw):
     return [Point(a * p.x + c, b * p.y + d) for p in draw(collinear_rich_points())]
 
 
-@settings(max_examples=100, deadline=None)
-@given(collinear_rich_points() | construction_prefixes() | wide_collinear_rich_points())
-def test_map_groups_as_the_reference_does(points):
+# the ten largest primes below 2^64
+PRIMES_64 = [2**64 - k for k in (59, 83, 95, 179, 189, 257, 279, 323, 353, 363)]
+
+
+@st.composite
+def prime_denominator_points(draw):
+    """Six to ten points, each over its own prime near 2^64, then forced
+    collinear points: L, the lcm of the W's, outgrows 2·bits(max W) + 32,
+    so the map drops its common denominator."""
+    primes = draw(st.permutations(PRIMES_64))[:draw(st.integers(6, 10))]
+    base = [Point(F(draw(st.integers(1, p - 1)), p), F(draw(st.integers(1 - p, p - 1)), p))
+            for p in primes]
+    return draw(collinear_rich_points(st.just(base)))
+
+
+LATE_PRIMES = [2**31 - 1, 2**61 - 1]
+
+
+@st.composite
+def late_prime_points(draw):
+    """Points over small denominators, then two on the line of two of them
+    whose W's bring in a new prime: the map must rescale its common
+    coordinates late, and keep them."""
+    points = draw(construction_prefixes() | collinear_rich_points())
+    a, b = draw(st.permutations(points))[:2]
+    t = F(draw(st.integers(1, 99)), draw(st.sampled_from(LATE_PRIMES)))
+    return points + [Point(a.x + k * t * (b.x - a.x), a.y + k * t * (b.y - a.y)) for k in (1, 2)]
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.one_of(
+    (collinear_rich_points() | construction_prefixes() | wide_collinear_rich_points())
+    .map(lambda points: (points, "common")),
+    prime_denominator_points().map(lambda points: (points, "per point")),
+    late_prime_points().map(lambda points: (points, "rescaled late")),
+))
+def test_map_groups_as_the_reference_does(case):
     # fed one point at a time: the int slope and position keys group and
-    # order every line as reduced directions and Fractions do
+    # order every line as reduced directions and Fractions do, over the
+    # common denominator or per point
+    points, path = case
     hom = PointSet(points).homogeneous()
     throughs, multi, covered = reference_grouping(hom)
     lmap = LineIncidenceMap(hom)
     assert [lmap.advance(m).through for m in range(1, len(hom) + 1)] == throughs
     assert list(lmap.multi.items()) == list(multi.items())
     assert lmap.covered == covered
+    assert (lmap._common is None) == (path == "per point")
+    if path == "rescaled late":
+        # the new prime divides L from the first late point on
+        early = LineIncidenceMap(hom).advance(len(hom) - 2)._common.den
+        assert any(lmap._common.den % p == 0 and early % p for p in LATE_PRIMES)
 
 
 # Farey neighbours p/q and p2/q2 (p·q2 - p2·q = ±1): q is the bound D that
