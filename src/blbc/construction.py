@@ -196,9 +196,7 @@ def state_from_points(points: Iterable[Sequence]) -> ConstructionState:
     if ps.n < 3:
         raise InputError(f"a construction state needs >= 3 points, got {ps.n}")
     lines = LineIncidenceMap(list(ps.homogeneous())).advance(ps.n)
-    # the first such line in the order of its two least indices, (j, i)
-    crowded = min((sorted(lst) for lst in lines.multi.values() if len(lst) > 3),
-                  key=lambda lst: (lst[1], lst[0]), default=None)
+    crowded = lines._least_line(4)
     if crowded is not None:
         raise InputError(
             f"{len(crowded)} collinear points (indices {crowded}) on line "

@@ -7,9 +7,10 @@ with a machine-readable counterexample on failure:
 - ``no4collinear``: no k points of the set share a line.
 - ``uniquetriple``: each trace point is collinear with exactly its
   recorded pair, strictly between the two.
-- ``visiblepairlemma``: a visible pair whose line carries a third point
-  has exactly one such point, it has a smaller index than the pair's
-  larger index k, and point k lies strictly between the other two.
+- ``visiblepairlemma``: a visible pair (i, k), i < k, whose line carries
+  a third point has exactly one, of index below k, with k strictly
+  between the two; so a three-point line passes exactly when its largest
+  index lies between the other two, and else fails at the two smaller.
 - ``trianglepending``: every triangle of the visibility graph keeps at
   least one edge in the pending set.
 - ``exclusionbound``: each record's excluded count is within C(n-3, 2).
@@ -75,28 +76,24 @@ class VerificationReport:
 # per-line and per-record judgements
 
 
-def _lemma_line_failures(order: Sequence[int]) -> list[dict]:
-    """Failures of the visible-pair conditions on one line with >= 3 points,
-    given in ``order`` along it.
+def _lemma_verdict(order: Sequence[int]) -> tuple[int, int, str] | None:
+    """The least failing pair (i, k), i < k, of one line of >= 3 points in
+    ``order`` along it, with its reason; None when the line passes.
 
-    The visible pairs of the line are the consecutive ones along it.  For
-    each such pair (i, k) with i < k the line must carry exactly one other
-    point i', with i' < k and k the middle one of the three along it.
+    Its visible pairs are its consecutive ones, and each (i, k) needs
+    exactly one third point on the line, of index below k, with k between
+    the two.  So on four or more points every pair fails.  A line a, m, b
+    passes exactly when m is its largest index; when b is, (a, m) has its
+    third point after both, (m, b) lacks only betweenness, and (a, m) is
+    the smaller pair, so the line fails at its two smaller indices.
     """
-    failures: list[dict] = []
-    for u, v in zip(order, order[1:]):
-        i, k = (u, v) if u < v else (v, u)
-        third = next(m for m in order if m != u and m != v)
-        if len(order) > 3:
-            reason = "four_collinear"
-        elif not third < k:
-            reason = "third_not_earlier"
-        elif k != order[1]:
-            reason = "not_between"
-        else:
-            continue
-        failures.append({"pair": [i, k], "line_points": sorted(order), "reason": reason})
-    return failures
+    if len(order) > 3:
+        i, k = min(sorted(pair) for pair in zip(order, order[1:]))
+        return i, k, "four_collinear"
+    if order[1] == max(order):
+        return None
+    i, k, _ = sorted(order)
+    return i, k, "third_not_earlier"
 
 
 class _Triangles:
@@ -251,7 +248,7 @@ class _Engine:
     lines each point joins and sets ``before``, the least two-point pair
     before the last point fed, the pair the construction must have
     selected.  A point check first feeds every point, then
-    refreshes the lemma failures and the consecutive pairs, in
+    refreshes the lemma verdicts and the consecutive pairs, in
     ``consecutive``, of the lines joined since the last report.  Records
     are judged on arrival by the selected trace checks; those that ask
     which pairs are collinear advance the map to the record.
@@ -279,8 +276,9 @@ class _Engine:
         self._grown = 0  # points fed when grown last ran
         self.records = 0
         self.failures: dict[str, dict] = {}  # first failure per trace check
-        # lemma failures per line of >= 3 points, by the key of lines.multi
-        self._lemma: dict[tuple[int, int], list[dict]] = {}
+        # the verdict of each failing line, by the key of lines.multi; lines
+        # only grow, and a failing line never passes again
+        self._lemma: dict[tuple[int, int], tuple[int, int, str]] = {}
         # the visible pairs along the lines of >= 3 points
         self.consecutive = _Triangles()
 
@@ -310,7 +308,7 @@ class _Engine:
         return lines
 
     def grown(self) -> LineIncidenceMap:
-        """The map over every point fed, lemma failures and
+        """The map over every point fed, lemma verdicts and
         ``consecutive`` refreshed."""
         lines, edges = self.advance(len(self.hom)), self.consecutive
         for key in self._joined:
@@ -322,7 +320,9 @@ class _Engine:
                     edges.remove(u, v)
             for u, v in zip(order, order[1:]):
                 edges.add(u, v)
-            self._lemma[key] = _lemma_line_failures(order)
+            verdict = _lemma_verdict(order)
+            if verdict is not None:
+                self._lemma[key] = verdict
         self._joined.clear()
         self._grown = lines.n
         return lines
@@ -330,26 +330,25 @@ class _Engine:
     def _no_k_collinear(self) -> VerificationReport:
         lines = self.grown()
         n = len(self.points)
-        big = [(sorted(members), lines.line(key))
-               for key, members in lines.multi.items() if len(members) >= self.k]
-        worst = min(big, default=None)
+        worst = lines._least_line(self.k)
         max_size = max(map(len, lines.multi.values()), default=min(n, 2))
         return VerificationReport(
             f"no{self.k}collinear",
             worst is None,
-            None if worst is None else {"indices": worst[0], "line": worst[1]._asdict()},
+            worst and {"indices": worst, "line": lines.line((worst[0], worst[1]))._asdict()},
             {"points": n, "lines": len(lines), "max_collinear": max_size},
         )
 
     def _visible_pair_lemma(self) -> VerificationReport:
-        self.grown()
-        failures = [f for fails in self._lemma.values() for f in fails]
-        return VerificationReport(
-            "visiblepairlemma",
-            not failures,
-            min(failures, key=lambda f: f["pair"], default=None),
-            {"points": len(self.points), "qualifying_pairs": self.consecutive.edges},
-        )
+        lines = self.grown()
+        # each pair lies on one line, so the least verdict is the least failure
+        key = min(self._lemma, key=self._lemma.__getitem__, default=None)
+        stats = {"points": len(self.points), "qualifying_pairs": self.consecutive.edges}
+        if key is None:
+            return VerificationReport("visiblepairlemma", True, None, stats)
+        i, k, reason = self._lemma[key]
+        failure = {"pair": [i, k], "line_points": sorted(lines.multi[key]), "reason": reason}
+        return VerificationReport("visiblepairlemma", False, failure, stats)
 
     def _triangle_pending(self) -> VerificationReport:
         # a two-point pair is pending in a valid run, so by default the
@@ -405,11 +404,8 @@ class _Check(NamedTuple):
         return self.judge is not None
 
 
-# Every check, in report order.  All but exclusionbound and
-# segmentparameter, which read each record with at most its pair's points,
-# read the engine's one LineIncidenceMap.  ordinaryoracle and
-# segmentparameter are opt-in only so that the default reports, and their
-# bytes, stay put.
+# Every check, in report order.  ordinaryoracle and segmentparameter are
+# opt-in only so that the default reports, and their bytes, stay put.
 CHECKS: dict[str, _Check] = {
     "no4collinear": _Check(_Engine._no_k_collinear, None, default=True),
     "uniquetriple": _Check(_Engine._unique_triple, _record_failure, default=True),

@@ -290,6 +290,12 @@ class LineIncidenceMap:
         """Canonical line through the two points of ``key``."""
         return _line_from_hom(self.hom[key[0] - 1], self.hom[key[1] - 1])
 
+    def _least_line(self, k: int) -> list[int] | None:
+        """The least line of k or more points, as ascending indices, or None:
+        a line's key is its two least indices, so the least key names it."""
+        key = min((key for key, line in self.multi.items() if len(line) >= k), default=None)
+        return None if key is None else sorted(self.multi[key])
+
     def _two_point_from(self, j: int, i: int) -> Iterator[tuple[int, int]]:
         """The two-point pairs from (j, i) on, as (i, j), lazily, in (j, i)
         order: the pairs of 1..n not in ``covered``."""
@@ -505,9 +511,8 @@ def build_visibility_graph_naive(ps: PointSet) -> VisibilityGraph:
 
 
 def _largest_line(lines: LineIncidenceMap) -> tuple[int, list[int]]:
-    best = min(map(sorted, lines.multi.values()), key=lambda m: (-len(m), m), default=None)
     # with no line of three points every pair is two-point, (1, 2) least
-    witness = list(best or (1, 2))
+    witness = lines._least_line(max(map(len, lines.multi.values()), default=3)) or [1, 2]
     return len(witness), witness
 
 

@@ -31,7 +31,7 @@ from blbc.errors import (
     SeedError,
 )
 from blbc.geometry import Orientation, Point, line_through, on_open_segment, orientation
-from blbc.verifier import CHECKS, verify_construction_run
+from blbc.verifier import CHECKS, verify_construction_run, verify_no_k_collinear
 from blbc.visibility import (
     ExclusionSet,
     LineIncidenceMap,
@@ -113,8 +113,8 @@ def test_state_from_points_rejects_four_collinear():
 
 
 def test_state_from_points_names_the_first_crowded_line():
-    # two lines of four or more points; the message names the line whose
-    # two least indices come first in (j, i) order
+    # two lines of four or more points; the message names the least line,
+    # the one whose ascending indices come first
     pts = [(9, 9), (1, 1), (2, 2), (3, 3), (0, 5), (0, 6), (0, 7), (0, 8), (4, 4), (5, 0)]
     with pytest.raises(InputError) as exc:
         state_from_points(pts)
@@ -122,6 +122,20 @@ def test_state_from_points_names_the_first_crowded_line():
         "5 collinear points (indices [1, 2, 3, 4, 9]) on line (1, -1, 0); "
         "at most 3 are allowed"
     )
+
+
+def test_state_from_points_names_the_line_no4collinear_names():
+    # the least line, [1, 5, 6, 7], is not the one with the least second
+    # index, [2, 3, 4, 8]; both messages name the least
+    pts = [(0, 0), (10, 1), (10, 2), (10, 3), (1, 0), (2, 0), (3, 0), (10, 4)]
+    with pytest.raises(InputError) as exc:
+        state_from_points(pts)
+    assert str(exc.value) == (
+        "4 collinear points (indices [1, 5, 6, 7]) on line (0, 1, 0); at most 3 are allowed"
+    )
+    report = verify_no_k_collinear(PointSet(pts), 4)
+    assert report.counterexample == {"indices": [1, 5, 6, 7],
+                                     "line": {"a": 0, "b": 1, "c": 0}}
 
 
 def test_state_from_points_allows_three_collinear():

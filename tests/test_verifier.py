@@ -24,7 +24,7 @@ from blbc.geometry import Orientation, Point, on_open_segment, orientation, segm
 from blbc.verifier import (
     CHECKS,
     VerificationReport,
-    _lemma_line_failures,
+    _lemma_verdict,
     verify_construction_run,
     verify_exclusion_bound,
     verify_no_k_collinear,
@@ -44,7 +44,7 @@ from blbc.visibility import (
     is_visible,
     max_visible_clique,
 )
-from test_visibility import collinear_rich_points
+from test_visibility import collinear_rich_points, construction_prefixes
 
 F = Fraction
 
@@ -253,15 +253,25 @@ def test_visiblepairlemma_four_collinear():
     assert report.counterexample["line_points"] == [1, 2, 3, 4]
 
 
-def test_lemma_line_failures_reports_not_between():
-    # index 3 at an end of the line: pair (1, 3) has its larger index
-    # outside the other two, which the per-line helper must flag; the
-    # helper takes the line's indices in order along it
-    failures = _lemma_line_failures([3, 1, 2])
-    assert {f["reason"] for f in failures} == {"third_not_earlier", "not_between"}
-    by_pair = {tuple(f["pair"]): f["reason"] for f in failures}
-    assert by_pair[(1, 3)] == "not_between"
-    assert by_pair[(1, 2)] == "third_not_earlier"
+# a line's indices in order along it, and its least failing pair: a
+# three-point line passes exactly when its largest index is in the middle,
+# and else fails at its two smaller indices; a longer line fails at its
+# least consecutive pair
+LEMMA_VERDICTS = [
+    ([2, 5, 7], (2, 5, "third_not_earlier")),
+    ([2, 7, 5], None),
+    ([5, 2, 7], (2, 5, "third_not_earlier")),
+    ([5, 7, 2], None),
+    ([7, 2, 5], (2, 5, "third_not_earlier")),
+    ([7, 5, 2], (2, 5, "third_not_earlier")),
+    ([4, 1, 3, 2], (1, 3, "four_collinear")),
+    ([5, 2, 4, 1, 3], (1, 3, "four_collinear")),
+]
+
+
+def test_lemma_verdict_table():
+    for order, verdict in LEMMA_VERDICTS:
+        assert _lemma_verdict(order) == verdict, order
 
 
 # triangle-pending
@@ -757,6 +767,24 @@ def test_failing_sets_match_oracles_one_shot_and_sweep(name):
         checks=["no4collinear", "visiblepairlemma", "trianglepending"],
     )
     assert results[-1] == (ps.n, one_shot)
+
+
+POINT_CHECKS = ["no4collinear", "visiblepairlemma", "trianglepending"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(collinear_rich_points() | construction_prefixes(), st.integers(0, 7))
+def test_point_reports_match_the_oracle(points, roll):
+    # one shot on every example; the sweep, which reports at every prefix,
+    # on about an eighth of them
+    ps = PointSet(points)
+    expected = oracle_point_reports(ps.points, oracle_two_point_pairs(ps.points))
+    assert verify_points(ps, checks=POINT_CHECKS) == list(expected[:3])
+    if roll == 0 and ps.n >= 3:
+        states = list(fabricated_states(ps.points))
+        results, _ = verify_construction_run(iter(states), POINT_CHECKS)
+        for (n, reports), state in zip(results, states):
+            assert reports == list(oracle_point_reports(state.points, state.pending)[:3]), n
 
 
 def test_sweep_drops_a_triangle_when_a_point_splits_its_edge():
