@@ -4,7 +4,7 @@ Every check here recomputes geometry from scratch (independent of the
 bookkeeping the construction keeps) and returns a `VerificationReport`
 with a machine-readable counterexample on failure:
 
-- ``no4collinear``: no k points of the set share a line.
+- ``no4collinear``: no four points of the set share a line.
 - ``uniquetriple``: each trace point is collinear with exactly its
   recorded pair, strictly between the two.
 - ``visiblepairlemma``: a visible pair (i, k), i < k, whose line carries
@@ -20,19 +20,21 @@ with a machine-readable counterexample on failure:
   its pair (i, j) and its parameter t, with 0 < t < 1.
 
 `CHECKS` names them all and says which need a trace and which run by
-default.  One engine computes every report: it is fed points one at a
-time, and each insertion record after its point.  Every check but
-``exclusionbound`` and ``segmentparameter``, which read each record with
-at most its pair's points, reads the engine's own
+default.  One engine computes every report of `verify_points`: it is fed
+points one at a time, and each insertion record after its point.  Every
+check but ``exclusionbound`` and ``segmentparameter``, which read each
+record with at most its pair's points, reads the engine's own
 `visibility.LineIncidenceMap`, built in order along each line from the
 raw coordinates it was fed; the construction grows a separate instance
 of the same structure, which the verifier never reads (it sees only a
 state's points, trace and pending set).  Both maps store only the pairs
 covered by lines of three or more points, and a pending set is a
 read-only view of the other pairs, so comparing a state's pending set
-with the engine's costs O(n) per prefix.  The engine keeps the
-consecutive pairs along its lines as a graph, with a count of its
-triangles, updated from the lines each point joins.
+with the engine's costs O(n) per prefix.  The lemma and triangle
+reports alone refresh its lemma verdicts and its graph of the
+consecutive pairs along its lines, with a count of its triangles, from
+the lines joined since; ``no4collinear``, and `verify_no_k_collinear`
+at any k with no engine, read the map alone.
 `verify_construction_run` reports after every point of a run; the
 per-set functions and `verify_points` feed a whole set and report once.
 Both select their checks through one `_selected`, so for any ``checks``
@@ -194,6 +196,18 @@ def _parameter_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
     }
 
 
+def _crowded_line_report(lines: LineIncidenceMap, k: int) -> VerificationReport:
+    """``no{k}collinear`` over the points the map holds: fails at the least
+    line of k or more points."""
+    worst = lines._least_line(k)
+    return VerificationReport(
+        f"no{k}collinear",
+        worst is None,
+        worst and {"indices": worst, "line": lines.line((worst[0], worst[1]))._asdict()},
+        {"points": lines.n, "lines": len(lines), "max_collinear": len(lines._largest_line())},
+    )
+
+
 def _selection_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
     """Counterexample when the record's pair is not the least ordinary
     pair over the points placed before it, else None."""
@@ -209,17 +223,6 @@ def _selection_counterexample(
     if selected is not None and selected == expected:
         return None
     return {"selected": selected and list(selected), "expected": expected and list(expected)}
-
-
-def _check_trace_against_points(ps: PointSet, trace: Sequence[InsertionRecord]) -> None:
-    """Raise ConsistencyError unless trace and ps describe one run."""
-    if ps.n != len(trace) + 3:
-        raise ConsistencyError(
-            f"{ps.n} points do not match {len(trace)} insertion records "
-            f"(expected {ps.n - 3 if ps.n >= 3 else 0})"
-        )
-    for n, rec in enumerate(trace, start=4):
-        _check_record(rec, n, ps.point(n))
 
 
 def _check_record(rec: InsertionRecord, n: int, point: Point) -> None:
@@ -247,9 +250,10 @@ class _Engine:
     never the construction's bookkeeping; `advance` feeds it, notes the
     lines each point joins and sets ``before``, the least two-point pair
     before the last point fed, the pair the construction must have
-    selected.  A point check first feeds every point, then
-    refreshes the lemma verdicts and the consecutive pairs, in
-    ``consecutive``, of the lines joined since the last report.  Records
+    selected.  A point check first feeds every point; the lemma and
+    triangle checks then refresh the lemma verdicts and the consecutive
+    pairs, in ``consecutive``, of the lines joined since the last refresh,
+    and ``no4collinear``, at its one threshold, reads the map alone.  Records
     are judged on arrival by the selected trace checks; those that ask
     which pairs are collinear advance the map to the record.
     ``pending=None`` stands for the pending set of a valid run: exactly
@@ -257,16 +261,9 @@ class _Engine:
     """
 
     def __init__(
-        self,
-        checks: Sequence[str],
-        k: int = 4,
-        pending: Container[tuple[int, int]] | None = None,
+        self, checks: Sequence[str], pending: Container[tuple[int, int]] | None = None
     ) -> None:
-        _require_int(k, "collinearity threshold")
-        if k < 3:
-            raise InputError(f"collinearity threshold must be >= 3, got {k}")
         self.checks = checks
-        self.k = k
         self.pending = pending
         self.points: list[Point] = []
         self.hom: list[tuple[int, int, int]] = []
@@ -327,17 +324,8 @@ class _Engine:
         self._grown = lines.n
         return lines
 
-    def _no_k_collinear(self) -> VerificationReport:
-        lines = self.grown()
-        n = len(self.points)
-        worst = lines._least_line(self.k)
-        max_size = max(map(len, lines.multi.values()), default=min(n, 2))
-        return VerificationReport(
-            f"no{self.k}collinear",
-            worst is None,
-            worst and {"indices": worst, "line": lines.line((worst[0], worst[1]))._asdict()},
-            {"points": n, "lines": len(lines), "max_collinear": max_size},
-        )
+    def _no_4_collinear(self) -> VerificationReport:
+        return _crowded_line_report(self.advance(len(self.hom)), 4)
 
     def _visible_pair_lemma(self) -> VerificationReport:
         lines = self.grown()
@@ -407,7 +395,7 @@ class _Check(NamedTuple):
 # Every check, in report order.  ordinaryoracle and segmentparameter are
 # opt-in only so that the default reports, and their bytes, stay put.
 CHECKS: dict[str, _Check] = {
-    "no4collinear": _Check(_Engine._no_k_collinear, None, default=True),
+    "no4collinear": _Check(_Engine._no_4_collinear, None, default=True),
     "uniquetriple": _Check(_Engine._unique_triple, _record_failure, default=True),
     "visiblepairlemma": _Check(_Engine._visible_pair_lemma, None, default=True),
     "trianglepending": _Check(_Engine._triangle_pending, None, default=True),
@@ -438,12 +426,11 @@ def _run(
     checks: Sequence[str],
     points: Iterable[Point] = (),
     trace: Iterable[InsertionRecord] = (),
-    k: int = 4,
     pending: Container[tuple[int, int]] | None = None,
 ) -> list[VerificationReport]:
     """Feed a whole set, then its records, to one engine; one report per
     check."""
-    engine = _Engine(checks, k, pending)
+    engine = _Engine(checks, pending)
     for p in points:
         engine.feed_point(p)
     for rec in trace:
@@ -469,13 +456,22 @@ def verify_points(
     """
     selected = _selected(checks, trace is not None)
     if trace is not None:
-        _check_trace_against_points(ps, trace)
+        if ps.n != len(trace) + 3:
+            raise ConsistencyError(
+                f"{ps.n} points do not match {len(trace)} insertion records "
+                f"(expected {ps.n - 3 if ps.n >= 3 else 0})"
+            )
+        for n, rec in enumerate(trace, start=4):
+            _check_record(rec, n, ps.point(n))
     return _run(selected, ps.points, trace or ())
 
 
 def verify_no_k_collinear(ps: PointSet, k: int = 4) -> VerificationReport:
     """No k points of ps on one line; vacuously true below k points."""
-    return _run(["no4collinear"], ps.points, k=k)[0]
+    _require_int(k, "collinearity threshold")
+    if k < 3:
+        raise InputError(f"collinearity threshold must be >= 3, got {k}")
+    return _crowded_line_report(LineIncidenceMap.from_point_set(ps), k)
 
 
 def verify_unique_triple_at_insertion(
@@ -483,15 +479,14 @@ def verify_unique_triple_at_insertion(
 ) -> VerificationReport:
     """Each inserted point is collinear with exactly its recorded pair and
     lies strictly between the two."""
-    _check_trace_against_points(ps, trace)
-    return _run(["uniquetriple"], ps.points, trace)[0]
+    return verify_points(ps, trace, ["uniquetriple"])[0]
 
 
 def verify_visible_pair_lemma(ps: PointSet) -> VerificationReport:
     """Visible pairs on lines with a third point satisfy the blocker shape:
     one extra point, of smaller index than the pair's larger index k, with
     point k strictly between the pair's other point and that extra point."""
-    return _run(["visiblepairlemma"], ps.points)[0]
+    return verify_points(ps, checks=["visiblepairlemma"])[0]
 
 
 def verify_triangle_pending(
@@ -528,8 +523,7 @@ def verify_trace_selections(
 ) -> VerificationReport:
     """Every recorded pair equals the ordinary-pair minimum for its prefix.
     One aggregated report over the whole trace."""
-    _check_trace_against_points(ps, trace)
-    return _run(["ordinaryoracle"], ps.points, trace)[0]
+    return verify_points(ps, trace, ["ordinaryoracle"])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +568,7 @@ def verify_construction_run(
             engine.feed_record(state.trace[-1])
 
         # After this check the engine's default pending set is the state's.
-        two_point = engine.grown().two_point
+        two_point = engine.advance(n).two_point
         if state.pending != two_point:
             extra = sorted(tuple(p) for p in state.pending - two_point)
             missing = sorted(two_point - state.pending)

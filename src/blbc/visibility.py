@@ -81,7 +81,7 @@ class PointSet:
             pts.append(p)
             hom.append(h)
         self._points = tuple(pts)
-        self._hom = hom
+        self._hom = tuple(hom)
 
     @property
     def n(self) -> int:
@@ -95,7 +95,7 @@ class PointSet:
         """Point at 1-based index i."""
         return _at(self._points, i)
 
-    def homogeneous(self) -> list[tuple[int, int, int]]:
+    def homogeneous(self) -> tuple[tuple[int, int, int], ...]:
         """Integer triples (X, Y, W), W > 0, for exact predicates."""
         return self._hom
 
@@ -251,7 +251,7 @@ class LineIncidenceMap:
     DuplicatePointError.
     """
 
-    def __init__(self, hom: list[tuple[int, int, int]]) -> None:
+    def __init__(self, hom: Sequence[tuple[int, int, int]]) -> None:
         self.hom = hom  # read as it grows; a repeated point is refused when fed
         self.n = 0
         self.covered: set[tuple[int, int]] = set()
@@ -287,7 +287,10 @@ class LineIncidenceMap:
         return set(self.two_point)
 
     def line(self, key: tuple[int, int]) -> CanonicalLine:
-        """Canonical line through the two points of ``key``."""
+        """Canonical line through the two points of ``key``, a pair (i, j)
+        of the points fed with i < j; any other key is refused."""
+        if not _is_pair(key, self.n):
+            raise InputError(f"line key {key!r} is not two indices 1 <= i < j <= {self.n}")
         return _line_from_hom(self.hom[key[0] - 1], self.hom[key[1] - 1])
 
     def _least_line(self, k: int) -> list[int] | None:
@@ -295,6 +298,12 @@ class LineIncidenceMap:
         a line's key is its two least indices, so the least key names it."""
         key = min((key for key, line in self.multi.items() if len(line) >= k), default=None)
         return None if key is None else sorted(self.multi[key])
+
+    def _largest_line(self) -> list[int]:
+        """The least of the longest lines, as ascending indices; with no line
+        of three points every pair is two-point, so the first min(n, 2)."""
+        longest = max(map(len, self.multi.values()), default=0)
+        return self._least_line(longest) if longest else [1, 2][: self.n]
 
     def _two_point_from(self, j: int, i: int) -> Iterator[tuple[int, int]]:
         """The two-point pairs from (j, i) on, as (i, j), lazily, in (j, i)
@@ -510,12 +519,6 @@ def build_visibility_graph_naive(ps: PointSet) -> VisibilityGraph:
     return VisibilityGraph(ps.n, edges)
 
 
-def _largest_line(lines: LineIncidenceMap) -> tuple[int, list[int]]:
-    # with no line of three points every pair is two-point, (1, 2) least
-    witness = lines._least_line(max(map(len, lines.multi.values()), default=3)) or [1, 2]
-    return len(witness), witness
-
-
 def _largest_clique(
     n: int, partners: Mapping[int, set[int]], cap: int | None
 ) -> tuple[int, list[int]]:
@@ -557,7 +560,8 @@ def max_collinear(ps: PointSet) -> tuple[int, list[int]]:
     to the smallest index list."""
     if ps.n < 2:
         raise InputError(f"max_collinear needs at least 2 points, got {ps.n}")
-    return _largest_line(LineIncidenceMap.from_point_set(ps))
+    witness = LineIncidenceMap.from_point_set(ps)._largest_line()
+    return len(witness), witness
 
 
 def max_visible_clique(ps: PointSet, cap: int | None = None) -> tuple[int, list[int]]:
@@ -622,10 +626,10 @@ def check_blbc_instance(ps: PointSet, k: int, l: int) -> BlbcVerdict:
     if ps.n < 1:
         raise InputError("check_blbc_instance needs a non-empty point set")
     lines = LineIncidenceMap.from_point_set(ps)
-    col_size, col_wit = _largest_line(lines) if ps.n >= 2 else (1, [1])
+    col_wit = lines._largest_line()
     cl_size, cl_wit = _largest_clique(lines.n, lines.blocked(), cap=k)
 
-    big_line = col_size >= l
+    big_line = len(col_wit) >= l
     big_clique = cl_size >= k
     if big_line and big_clique:
         outcome = BlbcOutcome.BOTH_FOUND
@@ -644,7 +648,7 @@ def check_blbc_instance(ps: PointSet, k: int, l: int) -> BlbcVerdict:
         k=k,
         l=l,
         outcome=outcome,
-        collinear_size=col_size,
+        collinear_size=len(col_wit),
         clique_size=cl_size,
         collinear_witness=col_wit if big_line else None,
         clique_witness=cl_wit if big_clique else None,

@@ -789,7 +789,7 @@ def test_any_seed_runs_the_affine_image_of_the_default(a, b, c):
         runs = zip(generate_states(seed, 25), generate_states(DEFAULT_SEED, 25))
         for state, default in runs:
             assert state.lines.hom == default.lines.hom
-            assert default.lines.hom == PointSet(default.points).homogeneous()
+            assert tuple(default.lines.hom) == PointSet(default.points).homogeneous()
             assert [back(pt) for pt in state.points] == default.points
             if state.trace:
                 rec, ref = state.trace[-1], default.trace[-1]

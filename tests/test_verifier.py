@@ -42,6 +42,7 @@ from blbc.visibility import (
     build_visibility_graph_naive,
     check_blbc_instance,
     is_visible,
+    max_collinear,
     max_visible_clique,
 )
 from test_visibility import collinear_rich_points, construction_prefixes
@@ -103,6 +104,16 @@ def test_report_json_omits_counterexample_when_passing():
     assert "counterexample" not in doc
     failing = verify_no_k_collinear(PointSet([(0, 0), (1, 0), (2, 0), (3, 0)]), 4)
     assert "counterexample" in failing.to_json_dict()
+
+
+def test_point_set_triples_cannot_be_changed_by_a_caller():
+    # a list handed out would let (2, 0, 1) join the x-axis line as point 4
+    ps = PointSet([(0, 0), (1, 0), (0, 1)])
+    before = (len(ps), max_collinear(ps), verify_no_k_collinear(ps, 3))
+    with pytest.raises(AttributeError):
+        ps.homogeneous().append((2, 0, 1))
+    assert (len(ps), max_collinear(ps), verify_no_k_collinear(ps, 3)) == before
+    assert before[1] == (2, [1, 2]) and before[2].passed
 
 
 # unique-triple-at-insertion
@@ -575,19 +586,25 @@ def oracle_line_json(p, q):
     return {"a": a // g, "b": b // g, "c": c // g}
 
 
+def oracle_crowded_line_report(points, lines, k):
+    """no{k}collinear from ``lines``, the oracle lines of ``points``."""
+    crowded = sorted(line for line in lines if len(line) >= k)
+    return VerificationReport(
+        f"no{k}collinear",
+        not crowded,
+        {"indices": list(crowded[0]),
+         "line": oracle_line_json(points[crowded[0][0] - 1], points[crowded[0][1] - 1])}
+        if crowded else None,
+        {"points": len(points), "lines": len(lines),
+         "max_collinear": max(map(len, lines), default=len(points))},
+    )
+
+
 def oracle_point_reports(points, pending):
     """no4collinear, visiblepairlemma and trianglepending from definitions."""
     n = len(points)
     lines = oracle_lines(points)
-    four = sorted(line for line in lines if len(line) >= 4)
-    no4 = VerificationReport(
-        "no4collinear",
-        not four,
-        {"indices": list(four[0]),
-         "line": oracle_line_json(points[four[0][0] - 1], points[four[0][1] - 1])}
-        if four else None,
-        {"points": n, "lines": len(lines), "max_collinear": max(map(len, lines), default=n)},
-    )
+    no4 = oracle_crowded_line_report(points, lines, 4)
 
     visible = build_visibility_graph_naive(PointSet(points)).edges
     line_of = {pair: line for line in lines for pair in combinations(line, 2)}
@@ -787,6 +804,22 @@ def test_point_reports_match_the_oracle(points, roll):
             assert reports == list(oracle_point_reports(state.points, state.pending)[:3]), n
 
 
+@settings(max_examples=200, deadline=None)
+@given(collinear_rich_points() | construction_prefixes())
+def test_line_reports_match_the_oracle(points):
+    # every threshold's report, and the largest line wherever it is read
+    ps = PointSet(points)
+    lines = oracle_lines(ps.points)
+    for k in range(3, 7):
+        assert verify_no_k_collinear(ps, k) == oracle_crowded_line_report(ps.points, lines, k)
+    if ps.n >= 2:
+        size = max(map(len, lines))
+        least = list(min(line for line in lines if len(line) == size))
+        assert max_collinear(ps) == (size, least)
+        verdict = check_blbc_instance(ps, 2, 2)
+        assert (verdict.collinear_size, verdict.collinear_witness) == (size, least)
+
+
 def test_sweep_drops_a_triangle_when_a_point_splits_its_edge():
     # the triangle (1, 2, 3) is there once each of its sides carries a
     # third point, and goes when point 7 lands inside side (1, 2)
@@ -847,15 +880,20 @@ def test_sweep_check_subset_and_threshold():
         assert all(r.passed for r in reports)
 
 
-def test_sweep_selects_checks_as_verify_points_does():
+@pytest.mark.parametrize(
+    "subset",
+    [list(c) for size in (1, 2, 3) for c in combinations(POINT_CHECKS, size)],
+    ids="-".join,
+)
+def test_sweep_selects_checks_as_verify_points_does(subset):
     # repeated and out-of-order names: each check once, in CHECKS order
-    names = ["trianglepending", "no4collinear", "no4collinear"]
+    names = [*reversed(subset), subset[0]]
     snapshots = [(PointSet(s.points), list(s.trace))
                  for s in generate_states(DEFAULT_SEED, 10)]
     results, _ = verify_construction_run(generate_states(DEFAULT_SEED, 10), checks=names)
     assert len(results) == len(snapshots) == 8
     for (n, reports), (ps, trace) in zip(results, snapshots):
-        assert [r.check for r in reports] == ["no4collinear", "trianglepending"]
+        assert [r.check for r in reports] == subset
         assert reports == verify_points(ps, trace, names), n
 
 

@@ -341,6 +341,16 @@ def test_advance_refuses_a_non_int_count(n):
     assert lmap.n == 0
 
 
+def test_line_refuses_a_key_that_is_not_a_pair_of_the_points_fed():
+    # unchecked, (0, 1) read point 4 as point 0 and named 7x - 5y = 0,
+    # (1, 1) divided by zero and (2, 9) indexed past the points
+    lmap = LineIncidenceMap.from_point_set([(0, 0), (1, 0), (0, 1), (5, 7)])
+    for key in [(0, 1), (1, 1), (2, 9)]:
+        with pytest.raises(InputError, match=r"^line key \(\d, \d\) is not two indices"):
+            lmap.line(key)
+    assert lmap.line((1, 4)) == line_through(Point(F(0), F(0)), Point(F(5), F(7)))
+
+
 def test_max_collinear_breaks_ties_to_smallest_indices():
     # two 3-point lines: y=0 carries {1,2,3}, x=0 carries {1,4,5}
     ps = PointSet([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)])
@@ -625,10 +635,13 @@ PRIMES_64 = [2**64 - k for k in (59, 83, 95, 179, 189, 257, 279, 323, 353, 363)]
 
 @st.composite
 def prime_denominator_points(draw):
-    """Six to ten points, each over its own prime near 2^64, then forced
+    """Nine or ten points, each over its own prime near 2^64, then forced
     collinear points: L, the lcm of the W's, outgrows 2·bits(max W) + 32,
-    so the map drops its common denominator."""
-    primes = draw(st.permutations(PRIMES_64))[:draw(st.integers(6, 10))]
+    so the map drops its common denominator.  A forced point brings no new
+    prime and a W under 2^261 (four primes times 27), so nine primes, over
+    2^575, are always past the bound; six were not, a forced W of three
+    primes held 384 bits of L within 2·192 + 32."""
+    primes = draw(st.permutations(PRIMES_64))[:draw(st.integers(9, 10))]
     base = [Point(F(draw(st.integers(1, p - 1)), p), F(draw(st.integers(1 - p, p - 1)), p))
             for p in primes]
     return draw(collinear_rich_points(st.just(base)))
