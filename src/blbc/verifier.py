@@ -34,9 +34,10 @@ with the engine's costs O(n) per prefix.  The lemma and triangle
 reports alone refresh its lemma verdicts and its graph of the
 consecutive pairs along its lines, with a count of its triangles, from
 the lines joined since; ``no4collinear``, and `verify_no_k_collinear`
-at any k with no engine, read the map alone.
-`verify_construction_run` reports after every point of a run; the
-per-set functions and `verify_points` feed a whole set and report once.
+at any k with no engine, read the map alone; so does
+`verify_triangle_pending`, and `verify_exclusion_bound` reads its records
+alone.  `verify_construction_run` reports after every point of a run, and
+`verify_points`, which builds the only other engine, reports once.
 Both select their checks through one `_selected`, so for any ``checks``
 the sweep's reports on a prefix are those of `verify_points` on it.  The
 independent references are brute force: `is_visible` and
@@ -48,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable, Container, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .construction import ConstructionState, InsertionRecord, _two_indices
 from .errors import ConsistencyError, InputError, _require_int
@@ -167,9 +168,9 @@ def _record_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
     }
 
 
-def _bound_failure(engine: _Engine, rec: InsertionRecord) -> dict | None:
+def _bound_failure(engine: _Engine | None, rec: InsertionRecord) -> dict | None:
     """Counterexample when the record's excluded count is outside
-    0..C(n-3, 2), else None."""
+    0..C(n-3, 2), else None; reads the record alone."""
     bound = comb(rec.n - 3, 2)
     if 0 <= rec.excluded_count <= bound:
         return None
@@ -205,6 +206,22 @@ def _crowded_line_report(lines: LineIncidenceMap, k: int) -> VerificationReport:
         worst is None,
         worst and {"indices": worst, "line": lines.line((worst[0], worst[1]))._asdict()},
         {"points": lines.n, "lines": len(lines), "max_collinear": len(lines._largest_line())},
+    )
+
+
+def _triangle_report(
+    lines: LineIncidenceMap, consecutive: int, candidates: _Triangles
+) -> VerificationReport:
+    """``trianglepending`` over the points the map holds, with
+    ``consecutive`` pairs along its lines of three or more points: fails at
+    the least triangle of ``candidates``, the visible pairs not pending."""
+    violations = candidates.count
+    return VerificationReport(
+        "trianglepending",
+        not violations,
+        {"triangle": list(candidates.least())} if violations else None,
+        {"points": lines.n, "visible_edges": len(lines.two_point) + consecutive,
+         "candidate_edges": candidates.edges, "violations": violations},
     )
 
 
@@ -255,21 +272,18 @@ class _Engine:
     pairs, in ``consecutive``, of the lines joined since the last refresh,
     and ``no4collinear``, at its one threshold, reads the map alone.  Records
     are judged on arrival by the selected trace checks; those that ask
-    which pairs are collinear advance the map to the record.
-    ``pending=None`` stands for the pending set of a valid run: exactly
-    the pairs whose line carries no third point.
+    which pairs are collinear advance the map to the record.  Joined lines
+    are noted only when the lemma or triangle check is selected.
     """
 
-    def __init__(
-        self, checks: Sequence[str], pending: Container[tuple[int, int]] | None = None
-    ) -> None:
+    def __init__(self, checks: Sequence[str]) -> None:
         self.checks = checks
-        self.pending = pending
         self.points: list[Point] = []
         self.hom: list[tuple[int, int, int]] = []
         self.lines = LineIncidenceMap(self.hom)
         self.before: tuple[int, int] | None = None
         self._joined: set[tuple[int, int]] = set()  # keys of lines joined since grown
+        self._note_joined = not {"visiblepairlemma", "trianglepending"}.isdisjoint(checks)
         self._grown = 0  # points fed when grown last ran
         self.records = 0
         self.failures: dict[str, dict] = {}  # first failure per trace check
@@ -296,12 +310,14 @@ class _Engine:
         return CHECKS[name].report(self)
 
     def advance(self, n: int) -> LineIncidenceMap:
-        """The map fed up to point n, noting ``before`` and the lines each
-        point joins."""
+        """The map fed up to point n, noting ``before`` and, for the lemma
+        and triangle checks, the lines each point joins."""
         lines = self.lines
         for m in range(lines.n + 1, n + 1):
             self.before = lines.least()
-            self._joined.update((g[0], g[1]) for g in lines.advance(m).through)
+            through = lines.advance(m).through
+            if self._note_joined:
+                self._joined.update((g[0], g[1]) for g in through)
         return lines
 
     def grown(self) -> LineIncidenceMap:
@@ -339,25 +355,9 @@ class _Engine:
         return VerificationReport("visiblepairlemma", False, failure, stats)
 
     def _triangle_pending(self) -> VerificationReport:
-        # a two-point pair is pending in a valid run, so by default the
-        # candidates are the visible pairs along the longer lines alone
-        lines = self.grown()
-        if self.pending is None:
-            candidates = self.consecutive
-        else:
-            candidates = _Triangles(e for e in lines.visible() if e not in self.pending)
-        violations = candidates.count
-        return VerificationReport(
-            "trianglepending",
-            not violations,
-            {"triangle": list(candidates.least())} if violations else None,
-            {
-                "points": len(self.points),
-                "visible_edges": len(lines.two_point) + self.consecutive.edges,
-                "candidate_edges": candidates.edges,
-                "violations": violations,
-            },
-        )
+        # a two-point pair is pending in a valid run, so the candidates are
+        # the visible pairs along the longer lines alone
+        return _triangle_report(self.grown(), self.consecutive.edges, self.consecutive)
 
     def _trace_report(self, name: str, stats: dict) -> VerificationReport:
         failure = self.failures.get(name)
@@ -422,22 +422,6 @@ def _selected(checks: Iterable[str] | None, traced: bool) -> list[str]:
     return [name for name in CHECKS if name in names]
 
 
-def _run(
-    checks: Sequence[str],
-    points: Iterable[Point] = (),
-    trace: Iterable[InsertionRecord] = (),
-    pending: Container[tuple[int, int]] | None = None,
-) -> list[VerificationReport]:
-    """Feed a whole set, then its records, to one engine; one report per
-    check."""
-    engine = _Engine(checks, pending)
-    for p in points:
-        engine.feed_point(p)
-    for rec in trace:
-        engine.feed_record(rec)
-    return [engine.report(name) for name in checks]
-
-
 # ---------------------------------------------------------------------------
 # checks on one point set
 
@@ -456,14 +440,21 @@ def verify_points(
     """
     selected = _selected(checks, trace is not None)
     if trace is not None:
+        if ps.n < 3:
+            raise ConsistencyError(f"a trace describes a run of at least 3 points, got {ps.n}")
         if ps.n != len(trace) + 3:
             raise ConsistencyError(
                 f"{ps.n} points do not match {len(trace)} insertion records "
-                f"(expected {ps.n - 3 if ps.n >= 3 else 0})"
+                f"(expected {ps.n - 3})"
             )
         for n, rec in enumerate(trace, start=4):
             _check_record(rec, n, ps.point(n))
-    return _run(selected, ps.points, trace or ())
+    engine = _Engine(selected)
+    for p in ps.points:
+        engine.feed_point(p)
+    for rec in trace or ():
+        engine.feed_record(rec)
+    return [engine.report(name) for name in selected]
 
 
 def verify_no_k_collinear(ps: PointSet, k: int = 4) -> VerificationReport:
@@ -496,12 +487,19 @@ def verify_triangle_pending(
     ``pending``; equivalently, the subgraph of visible non-pending edges
     is triangle-free."""
     pending_set = {_two_indices(raw, "pending pair", ps.n) for raw in pending}
-    return _run(["trianglepending"], ps.points, pending=pending_set)[0]
+    lines = LineIncidenceMap.from_point_set(ps)
+    consecutive = sum(len(order) - 1 for order in lines.multi.values())
+    candidates = _Triangles(e for e in lines.visible() if e not in pending_set)
+    return _triangle_report(lines, consecutive, candidates)
 
 
 def verify_exclusion_bound(trace: Sequence[InsertionRecord]) -> VerificationReport:
-    """Each record's excluded_count lies within 0..C(n-3, 2)."""
-    return _run(["exclusionbound"], trace=trace)[0]
+    """Each record's excluded_count lies within 0..C(n-3, 2); the first
+    failure in record order is reported."""
+    records, failure = 0, None
+    for records, rec in enumerate(trace, start=1):
+        failure = failure or _bound_failure(None, rec)
+    return VerificationReport("exclusionbound", failure is None, failure, {"records": records})
 
 
 def verify_ordinary_oracle(

@@ -252,6 +252,20 @@ def test_verify_rejects_trace_from_another_run(tmp_path, capsys):
     assert "10 points do not match 17 insertion records (expected 7)" in captured.err
 
 
+@pytest.mark.parametrize("count", [0, 2])
+def test_verify_rejects_a_trace_below_three_points(tmp_path, capsys, count):
+    # no run has fewer than its three seed points, so no record count fits
+    points = write_points(tmp_path / "few.json", [(x, 0) for x in range(count)])
+    trace = tmp_path / "empty.json"
+    trace.write_text('{"format_version": 1, "records": []}')
+    assert main(["verify", "--points", points, "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: a trace describes a run of at least 3 points, got {count}"
+    ]
+
+
 def test_output_bytes_are_pinned(tmp_path, capsys):
     points, trace = gen(tmp_path, 120, trace=True)
     written = [

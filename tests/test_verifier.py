@@ -408,16 +408,20 @@ def test_exclusionbound_passes_on_generated_run():
 
 
 def test_exclusionbound_detects_overrun():
+    # the first overrun in record order is named, from a list or an iterator
     _, trace, _ = golden(8)
-    bad = [
-        dataclasses.replace(rec, excluded_count=comb(rec.n - 3, 2) + 1)
-        if rec.n == 7
-        else rec
-        for rec in trace
-    ]
-    report = verify_exclusion_bound(bad)
-    assert not report.passed
-    assert report.counterexample == {"n": 7, "excluded_count": 7, "bound": 6}
+    for overruns in ({7}, {7, 8}):
+        bad = [
+            dataclasses.replace(rec, excluded_count=comb(rec.n - 3, 2) + 1)
+            if rec.n in overruns
+            else rec
+            for rec in trace
+        ]
+        for records in (bad, iter(bad)):
+            report = verify_exclusion_bound(records)
+            assert not report.passed
+            assert report.counterexample == {"n": 7, "excluded_count": 7, "bound": 6}
+            assert report.stats == {"records": 5}
 
 
 def test_exclusionbound_first_record_allows_nothing():
@@ -790,18 +794,29 @@ POINT_CHECKS = ["no4collinear", "visiblepairlemma", "trianglepending"]
 
 
 @settings(max_examples=200, deadline=None)
-@given(collinear_rich_points() | construction_prefixes(), st.integers(0, 7))
-def test_point_reports_match_the_oracle(points, roll):
-    # one shot on every example; the sweep, which reports at every prefix,
-    # on about an eighth of them
+@given(collinear_rich_points() | construction_prefixes(), st.integers(0, 7), st.data())
+def test_point_reports_match_the_oracle(points, roll, data):
+    # one shot on every example, for a subset of the point checks, and the
+    # triangle check against a pending set other than the two-point pairs;
+    # the sweep, which reports at every prefix, on about an eighth of them
     ps = PointSet(points)
-    expected = oracle_point_reports(ps.points, oracle_two_point_pairs(ps.points))
-    assert verify_points(ps, checks=POINT_CHECKS) == list(expected[:3])
+    names = data.draw(st.sets(st.sampled_from(POINT_CHECKS), min_size=1))
+
+    def matching(reports):
+        return [report for name, report in zip(POINT_CHECKS, reports) if name in names]
+
+    two_point = oracle_two_point_pairs(ps.points)
+    expected = oracle_point_reports(ps.points, two_point)
+    assert verify_points(ps, checks=names) == matching(expected)
+    flipped = data.draw(st.sets(st.sampled_from(list(combinations(range(1, ps.n + 1), 2))))
+                        if ps.n >= 2 else st.just(set()))
+    pending = two_point ^ flipped
+    assert verify_triangle_pending(ps, pending) == oracle_point_reports(ps.points, pending)[2]
     if roll == 0 and ps.n >= 3:
         states = list(fabricated_states(ps.points))
-        results, _ = verify_construction_run(iter(states), POINT_CHECKS)
+        results, _ = verify_construction_run(iter(states), names)
         for (n, reports), state in zip(results, states):
-            assert reports == list(oracle_point_reports(state.points, state.pending)[:3]), n
+            assert reports == matching(oracle_point_reports(state.points, state.pending)), n
 
 
 @settings(max_examples=200, deadline=None)
@@ -964,17 +979,23 @@ def test_sweep_detects_record_point_mismatch():
         verify_construction_run(tampered())
 
 
-def test_sweep_holds_only_the_covered_pairs(monkeypatch):
-    # each insertion covers three pairs, so both the state's map and the
-    # engine's hold 3(n - 3) pairs, and no structure of either is dense
-    engines = []
+@pytest.fixture
+def engines(monkeypatch):
+    """Every check engine built while the test runs."""
+    built = []
 
     class Recorded(verifier._Engine):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            engines.append(self)
+            built.append(self)
 
     monkeypatch.setattr(verifier, "_Engine", Recorded)
+    return built
+
+
+def test_sweep_holds_only_the_covered_pairs(engines):
+    # each insertion covers three pairs, so both the state's map and the
+    # engine's hold 3(n - 3) pairs, and no structure of either is dense
     results, state = verify_construction_run(generate_states(DEFAULT_SEED, 200))
     (engine,) = engines
     n = 200
@@ -986,6 +1007,17 @@ def test_sweep_holds_only_the_covered_pairs(monkeypatch):
     assert not isinstance(state.pending, (set, frozenset))
     assert len(state.pending) == comb(n, 2) - 3 * (n - 3)
     assert state.pending == engine.lines.two_point
+
+
+def test_no4collinear_alone_notes_no_joined_lines(engines):
+    # no4collinear reads the map alone, so the engine keeps no line notes,
+    # lemma verdicts or failures beside it
+    ps = PointSet([(x, y) for y in range(12) for x in range(12)])
+    (report,) = verify_points(ps, checks=["no4collinear"])
+    (engine,) = engines
+    assert not report.passed
+    assert {name: value for name, value in vars(engine).items()
+            if isinstance(value, (set, dict)) and name != "lines" and value} == {}
 
 
 def test_sweep_rejects_repeated_point():
